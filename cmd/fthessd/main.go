@@ -71,7 +71,10 @@ func main() {
 	// Fold host BLAS throughput into the same /metrics exposition.
 	blas.SetObs(srv.Registry())
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// A client that never finishes its request headers would otherwise
+	// hold a connection open forever (slowloris). Request bodies stay
+	// untimed; -max-body bounds their size.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 

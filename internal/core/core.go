@@ -169,6 +169,14 @@ func (r *Result) Orthogonality() float64 {
 	return lapack.OrthogonalityResidual(r.Q())
 }
 
+// Verify returns both of the paper's accuracy metrics (Tables II and
+// III), Residual(a) and Orthogonality(), bit for bit, from one explicit
+// Q: a caller that wants both forms Q once instead of twice.
+func (r *Result) Verify(a *matrix.Matrix) (residual, orthogonality float64) {
+	q := r.Q()
+	return lapack.FactorizationResidual(a, q, r.H()), lapack.OrthogonalityResidual(q)
+}
+
 func (o *Options) device() *gpu.Device {
 	if o.Device != nil {
 		return o.Device

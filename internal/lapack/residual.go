@@ -21,7 +21,14 @@ func FactorizationResidual(a, q, h *matrix.Matrix) float64 {
 	blas.Dgemm(blas.NoTrans, blas.NoTrans, n, n, n, 1, q.Data, q.Stride, h.Data, h.Stride, 0, tmp.Data, tmp.Stride)
 	rec := matrix.New(n, n)
 	blas.Dgemm(blas.NoTrans, blas.Trans, n, n, n, 1, tmp.Data, tmp.Stride, q.Data, q.Stride, 0, rec.Data, rec.Stride)
-	num := a.Sub(rec).Norm1()
+	// rec := A − rec in place: one n×n buffer fewer than a.Sub(rec).
+	for j := 0; j < n; j++ {
+		aj, rj := a.Col(j), rec.Col(j)
+		for i := range rj {
+			rj[i] = aj[i] - rj[i]
+		}
+	}
+	num := rec.Norm1()
 	den := float64(n) * a.Norm1()
 	if den == 0 {
 		return num

@@ -147,8 +147,8 @@ func buildResult(req *JobRequest, a *matrix.Matrix, res *core.Result) *JobResult
 		Orthogonality: obs.Float(math.NaN()),
 	}
 	if !req.CostOnly {
-		out.Residual = obs.Float(res.Residual(a))
-		out.Orthogonality = obs.Float(res.Orthogonality())
+		resid, orth := res.Verify(a)
+		out.Residual, out.Orthogonality = obs.Float(resid), obs.Float(orth)
 		out.ResultDigest = res.Digest()
 	}
 	return out
