@@ -1,6 +1,9 @@
 // Package blas implements the subset of the BLAS (Basic Linear Algebra
 // Subprograms) needed by the Hessenberg reduction and its fault-tolerant
-// variant, in pure Go over column-major storage.
+// variant, in Go over column-major storage. On amd64 with AVX2 two kernels
+// are hand-written assembly, chosen once from CPUID: the Dgemm
+// micro-kernel and the NoTrans Dgemv column-group kernel. Everywhere else
+// portable Go kernels take over.
 //
 // The routines follow the netlib reference semantics: the same argument
 // conventions (dimensions first, then alpha, then matrix/leading-dimension
@@ -13,11 +16,18 @@
 // Performance architecture: Dgemm is a BLIS-style blocked kernel — MC/KC/NC
 // cache blocking over packed panels (pack.go), a register-blocked MR×NR
 // micro-kernel unique across all four transpose cases (microkernel.go) —
-// and the compute-heavy routines (Dgemm, Dgemv, Dger, Dsyr2k, Dtrmm) shard
-// large problems onto one shared bounded worker pool (pool.go). Parallel
-// shards write disjoint outputs with unchanged per-element operation order,
-// so results are bitwise identical at every SetMaxProcs setting. SetObs
-// optionally records achieved host GFLOP/s into the observability registry.
+// and Dgemv(NoTrans) with contiguous y applies the nonzero columns of A
+// four at a time through a vector kernel (level2_amd64.s). That kernel
+// rounds every product and sum separately (no FMA), keeps each element's
+// operation order, and still skips columns whose alpha*x[j] is zero, so its
+// results are bit-identical to the Go loop, NaN payloads included; DgemvFT
+// relies on that when it compares a strided primary against a contiguous
+// shadow. The compute-heavy routines (Dgemm, Dgemv, Dger, Dsyr2k, Dtrmm)
+// shard large problems onto one shared bounded worker pool (pool.go).
+// Parallel shards write disjoint outputs with unchanged per-element
+// operation order, so results are bitwise identical at every SetMaxProcs
+// setting. SetObs optionally records achieved host GFLOP/s into the
+// observability registry.
 package blas
 
 import "fmt"

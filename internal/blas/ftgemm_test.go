@@ -79,7 +79,7 @@ func TestDgemmPropertyFusedBitwise(t *testing.T) {
 		}
 	}
 	shapes = append(shapes, propEdgeShapes...)
-	gemmPropConfigs(t, func(t *testing.T) { runFusedProperty(t, shapes) })
+	kernelPropConfigs(t, func(t *testing.T) { runFusedProperty(t, shapes) })
 }
 
 // TestDgemmPropertyFusedReportDeterministic: the FTResult itself — not
@@ -266,7 +266,9 @@ func TestDgemmFTNonFiniteNeverSilent(t *testing.T) {
 // TestDgemvFTDMR: dual modular redundancy on Dgemv catches the flips the
 // checksum path cannot — a single-ulp mantissa flip far below any
 // norm-scaled threshold — and stays quiet on clean runs, for both
-// transpose cases and strided y.
+// transpose cases and strided y, under every kernel and execution path
+// (the strided primary takes the Go loop while the contiguous shadow takes
+// the AVX kernel where the CPU has it).
 func TestDgemvFTDMR(t *testing.T) {
 	const m, n = 37, 29
 	a := matrix.Random(m, n, 91)
@@ -282,36 +284,38 @@ func TestDgemvFTDMR(t *testing.T) {
 		{"notrans-strided", NoTrans, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			lenY := m
-			xx := x
-			if tc.trans == Trans {
-				lenY = n
-				xx = xT
-			}
-			y := make([]float64, lenY*tc.incY)
-			for i := range y {
-				y[i] = 0.25 * float64(i)
-			}
-			// Clean run: bitwise agreement, no detections.
-			res, err := DgemvFT(tc.trans, m, n, 1.1, a.Data, a.Stride, xx.Data, 1, 0.6, y, tc.incY)
-			if err != nil || res.Detections != 0 {
-				t.Fatalf("clean DMR run: err=%v res=%+v", err, res)
-			}
-			if res.Checks != lenY {
-				t.Fatalf("checks=%d, want %d", res.Checks, lenY)
-			}
-			// Single-ulp flip in the primary between the runs.
-			ftTestCorruptDMR = func(out []float64, inc int) {
-				out[2*inc] = math.Float64frombits(math.Float64bits(out[2*inc]) ^ 1)
-			}
-			defer func() { ftTestCorruptDMR = nil }()
-			res, err = DgemvFT(tc.trans, m, n, 1.1, a.Data, a.Stride, xx.Data, 1, 0.6, y, tc.incY)
-			if !errors.Is(err, ErrFTDetected) {
-				t.Fatalf("ulp flip not detected: err=%v res=%+v", err, res)
-			}
-			if res.Detections != 1 {
-				t.Fatalf("detections=%d, want exactly the flipped element", res.Detections)
-			}
+			kernelPropConfigs(t, func(t *testing.T) {
+				lenY := m
+				xx := x
+				if tc.trans == Trans {
+					lenY = n
+					xx = xT
+				}
+				y := make([]float64, lenY*tc.incY)
+				for i := range y {
+					y[i] = 0.25 * float64(i)
+				}
+				// Clean run: bitwise agreement, no detections.
+				res, err := DgemvFT(tc.trans, m, n, 1.1, a.Data, a.Stride, xx.Data, 1, 0.6, y, tc.incY)
+				if err != nil || res.Detections != 0 {
+					t.Fatalf("clean DMR run: err=%v res=%+v", err, res)
+				}
+				if res.Checks != lenY {
+					t.Fatalf("checks=%d, want %d", res.Checks, lenY)
+				}
+				// Single-ulp flip in the primary between the runs.
+				ftTestCorruptDMR = func(out []float64, inc int) {
+					out[2*inc] = math.Float64frombits(math.Float64bits(out[2*inc]) ^ 1)
+				}
+				defer func() { ftTestCorruptDMR = nil }()
+				res, err = DgemvFT(tc.trans, m, n, 1.1, a.Data, a.Stride, xx.Data, 1, 0.6, y, tc.incY)
+				if !errors.Is(err, ErrFTDetected) {
+					t.Fatalf("ulp flip not detected: err=%v res=%+v", err, res)
+				}
+				if res.Detections != 1 {
+					t.Fatalf("detections=%d, want exactly the flipped element", res.Detections)
+				}
+			})
 		})
 	}
 }

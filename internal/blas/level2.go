@@ -64,25 +64,56 @@ func Dgemv(trans Transpose, m, n int, alpha float64, a []float64, lda int, x []f
 }
 
 // gemvNoTransRows accumulates rows [i0, i1) of y += alpha*A*x, one axpy
-// segment per column of A.
+// segment per column of A. Columns whose t = alpha*x[j] is zero are skipped,
+// never multiplied through, so NaN, Inf and -0 entries of such a column do
+// not reach y. With contiguous y on an AVX2 machine the nonzero columns go
+// four at a time through gemvNoTrans4AVX, which keeps each element's
+// operation order and rounding, so the result is bit-identical either way;
+// the 0-3 leftover columns take the Go loop.
 func gemvNoTransRows(m, n int, alpha float64, a []float64, lda int, x []float64, incX int, y []float64, incY, i0, i1 int) {
+	var (
+		cols [4][]float64
+		ts   [4]float64
+		k    int
+	)
 	for j, jx := 0, 0; j < n; j, jx = j+1, jx+incX {
 		t := alpha * x[jx]
 		if t == 0 {
 			continue
 		}
 		col := a[j*lda : j*lda+m]
-		if incY == 1 {
-			yv := y[i0:i1]
-			cv := col[i0:i1]
-			for i := range yv {
-				yv[i] += t * cv[i]
-			}
-		} else {
+		switch {
+		case incY != 1:
+			// Same form as axpyGemv, so the strided and contiguous paths
+			// agree bit for bit (DgemvFT compares the two).
 			for i, iy := i0, i0*incY; i < i1; i, iy = i+1, iy+incY {
-				y[iy] += t * col[i]
+				y[iy] = float64(t*col[i]) + y[iy]
 			}
+		case useAVXKernel:
+			cols[k], ts[k] = col[i0:i1], t
+			if k++; k == 4 {
+				gemvNoTrans4AVX(y[i0:i1], cols[0], cols[1], cols[2], cols[3], &ts)
+				k = 0
+			}
+		default:
+			axpyGemv(y[i0:i1], t, col[i0:i1])
 		}
+	}
+	for q := range k {
+		axpyGemv(y[i0:i1], ts[q], cols[q])
+	}
+}
+
+// axpyGemv is the portable column step of gemvNoTransRows: y += t*c. The
+// conversion rounds the product before the add, so no build (GOAMD64=v3
+// included) fuses it into an FMA. Written product first, the compiled add
+// takes the product as its first operand, as gemvNoTrans4AVX does, so
+// even the surviving NaN payload agrees with the AVX path;
+// TestDgemvPropertyKernelBitwise pins both.
+func axpyGemv(y []float64, t float64, c []float64) {
+	c = c[:len(y)]
+	for i := range y {
+		y[i] = float64(t*c[i]) + y[i]
 	}
 }
 

@@ -7,8 +7,10 @@ package blas
 // microkernel_amd64.s computes the whole 4×4 tile with four FMA chains per
 // k step (eight with the ×2 unroll) instead of sixteen scalar multiply-adds.
 //
-// useAVXKernel is a variable, not a constant, so tests can force the
-// portable Go path and cross-check the two implementations.
+// useAVXKernel selects every assembly kernel: this micro-kernel and the
+// Dgemv column-group kernel (level2_amd64.s). It is a variable, not a
+// constant, so tests can force the portable Go paths and cross-check the
+// two implementations.
 var useAVXKernel = cpuSupportsAVX2FMA()
 
 // cpuSupportsAVX2FMA reports whether both the CPU and the OS support the

@@ -2,8 +2,8 @@
 
 package blas
 
-// Portable fallback: architectures without the assembly micro-kernel always
-// take the Go path. The var (rather than const) keeps the dispatch sites
+// Portable fallback: architectures without the assembly kernels always
+// take the Go paths. The var (rather than const) keeps the dispatch sites
 // identical across build targets.
 var useAVXKernel = false
 
