@@ -1,22 +1,26 @@
 // Command experiments regenerates the paper's evaluation: every table and
-// figure of Section VI, plus the ablation studies listed in DESIGN.md.
+// figure of Section VI, plus the ablation studies listed in DESIGN.md,
+// and it is the only writer of the committed BENCH_*.json artifacts.
 //
 // Usage:
 //
-//	experiments -exp all                 # everything (tables II/III at laptop scale)
+//	experiments -exp all                 # everything; writes every BENCH artifact
 //	experiments -exp fig6 -paper         # Figure 6 at the paper's sizes (cost-only)
 //	experiments -exp tableII -sizes 126,254,510
+//	experiments -exp lookahead -out ''   # print the study, write nothing
 //
 // Figure 6 runs in cost-only mode (the analytic device model at the
 // paper's matrix sizes); Figure 2 and Tables II/III execute real
-// arithmetic. See EXPERIMENTS.md for the recorded paper-vs-measured
-// comparison.
+// arithmetic. Each artifact experiment runs at the canonical grid fixed
+// in internal/bench, so -nb and -sizes shape only the text reports. See
+// EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 
@@ -25,137 +29,100 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|tableI|fig2|fig6|tableII|tableIII|ablation|breakdown|multierror|multigpu|lookahead|failstop|blasft|trace|timeline|serveobs|serve_throughput")
-	nb := flag.Int("nb", 32, "block size")
-	sizesFlag := flag.String("sizes", "", "comma-separated matrix sizes (overrides defaults)")
+	names := []string{"all|tableI|fig2|fig6|tableII|tableIII|ablation|breakdown|multierror|trace|timeline"}
+	for _, a := range bench.Artifacts {
+		names = append(names, a.Name)
+	}
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, "|"))
+	nb := flag.Int("nb", 32, "block size of the text reports")
+	sizesFlag := flag.String("sizes", "", "comma-separated positive matrix sizes of the text reports (overrides defaults)")
 	paper := flag.Bool("paper", false, "use the paper's full size grid for fig6 (cost-only, still fast)")
 	seed := flag.Uint64("seed", 158, "workload seed")
 	traceOut := flag.String("traceout", "", "write a Chrome trace JSON of the timeline experiment to this file")
-	serveObsOut := flag.String("serveobsout", "BENCH_serveobs.json", "artifact path for the serveobs experiment (empty to skip writing)")
-	throughputOut := flag.String("throughputout", "BENCH_throughput.json", "artifact path for the serve_throughput experiment (empty to skip writing)")
-	lookaheadOut := flag.String("lookaheadout", "BENCH_lookahead.json", "artifact path for the lookahead experiment (empty to skip writing)")
-	failstopOut := flag.String("failstopout", "BENCH_failstop.json", "artifact path for the failstop experiment (empty to skip writing)")
-	blasftOut := flag.String("blasftout", "BENCH_blasft.json", "artifact path for the blasft experiment (empty to skip writing)")
-	blasftReps := flag.Int("blasftreps", 5, "wall-clock repetitions per GEMM shape in the blasft experiment")
+	outDir := flag.String("out", ".", "directory the BENCH_*.json artifacts are written to (empty writes nothing)")
 	flag.Parse()
 
+	sizes, err := parseSizes(*sizesFlag)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	params := sim.K40c()
 	out := os.Stdout
 
-	var sizes []int
-	if *sizesFlag != "" {
-		for _, s := range strings.Split(*sizesFlag, ",") {
-			v, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bad size %q: %v\n", s, err)
-				os.Exit(2)
-			}
-			sizes = append(sizes, v)
-		}
-	}
-
-	fig6Sizes := sizes
-	if fig6Sizes == nil {
+	fig6Sizes, realSizes := sizes, sizes
+	if sizes == nil {
+		fig6Sizes, realSizes = []int{1022, 2046, 3070, 4030}, bench.RealSizes
 		if *paper {
 			fig6Sizes = bench.PaperSizes
-		} else {
-			fig6Sizes = []int{1022, 2046, 3070, 4030}
 		}
 	}
-	realSizes := sizes
-	if realSizes == nil {
-		realSizes = bench.RealSizes
-	}
 
-	run := func(name string) {
-		switch name {
-		case "tableI":
-			bench.TableI(out, params)
-		case "fig2":
-			bench.Fig2(out, *seed)
-		case "fig6":
-			bench.Fig6(out, fig6Sizes, *nb, params)
-		case "tableII", "tableIII", "tables":
-			bench.Tables23(out, realSizes, *nb)
-		case "ablation":
-			bench.Ablations(out, fig6Sizes[len(fig6Sizes)-1], params)
-		case "breakdown":
-			bench.Breakdown(out, fig6Sizes[len(fig6Sizes)-1], *nb, params)
-		case "multierror":
-			bench.MultiError(out, 158, *nb, 10, *seed)
-		case "multigpu":
-			art, err := bench.MultiGPU(2048, 16, []int{1, 2, 4}, params)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "multigpu: %v\n", err)
-				os.Exit(2)
+	reports := []struct {
+		name string
+		run  func()
+	}{
+		{"tableI", func() { bench.TableI(out, params) }},
+		{"fig2", func() { bench.Fig2(out, *seed) }},
+		{"fig6", func() { bench.Fig6(out, fig6Sizes, *nb, params) }},
+		{"tables", func() { bench.Tables23(out, realSizes, *nb) }},
+		{"ablation", func() { bench.Ablations(out, fig6Sizes[len(fig6Sizes)-1], params) }},
+		{"breakdown", func() { bench.Breakdown(out, fig6Sizes[len(fig6Sizes)-1], *nb, params) }},
+		{"multierror", func() { bench.MultiError(out, 158, *nb, 10, *seed) }},
+		{"trace", func() { bench.Trace(out, 158, *nb) }},
+		{"timeline", func() { bench.Timeline(out, 512, *nb, params, *traceOut) }},
+	}
+	name := *exp
+	if name == "tableII" || name == "tableIII" {
+		name = "tables"
+	}
+	ran := false
+	for _, r := range reports {
+		if name == "all" || name == r.name {
+			r.run()
+			fmt.Fprintln(out)
+			ran = true
+		}
+	}
+	for _, a := range bench.Artifacts {
+		if name != "all" && name != a.Name {
+			continue
+		}
+		v, err := a.Run(out)
+		if err == nil && *outDir != "" {
+			if err = bench.WriteArtifact(*outDir, a.File, v); err == nil {
+				fmt.Fprintf(out, "wrote %s\n", filepath.Join(*outDir, a.File))
 			}
-			bench.MultiGPUReport(out, art)
-		case "lookahead":
-			art, err := bench.Lookahead([]int{512, 1024, 2048}, []int{1, 2, 4}, *nb, params)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lookahead: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.LookaheadReport(out, art, *lookaheadOut); err != nil {
-				fmt.Fprintf(os.Stderr, "lookahead: %v\n", err)
-				os.Exit(2)
-			}
-		case "failstop":
-			art, err := bench.FailStop([]int{512, 1024, 2048}, []int{2, 3, 4}, *nb, params)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "failstop: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.FailStopReport(out, art, *failstopOut); err != nil {
-				fmt.Fprintf(os.Stderr, "failstop: %v\n", err)
-				os.Exit(2)
-			}
-		case "blasft":
-			art, err := bench.BlasFT(bench.BlasFTShapes, *blasftReps, params)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "blasft: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.BlasFTReport(out, art, *blasftOut); err != nil {
-				fmt.Fprintf(os.Stderr, "blasft: %v\n", err)
-				os.Exit(2)
-			}
-		case "trace":
-			bench.Trace(out, 158, *nb)
-		case "timeline":
-			bench.Timeline(out, 512, *nb, params, *traceOut)
-		case "serveobs":
-			art, err := bench.ServeObs(512, *nb, 8, 1, 7)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serveobs: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.ServeObsReport(out, art, *serveObsOut); err != nil {
-				fmt.Fprintf(os.Stderr, "serveobs: %v\n", err)
-				os.Exit(2)
-			}
-		case "serve_throughput":
-			art, err := bench.Throughput([]int{64, 128, 256}, 32, 2, 4, 8, 2, 16, 5)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "serve_throughput: %v\n", err)
-				os.Exit(2)
-			}
-			if err := bench.ThroughputReport(out, art, *throughputOut); err != nil {
-				fmt.Fprintf(os.Stderr, "serve_throughput: %v\n", err)
-				os.Exit(2)
-			}
-		default:
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", name)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", a.Name, err)
 			os.Exit(2)
 		}
 		fmt.Fprintln(out)
+		ran = true
 	}
+	if !ran {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
+}
 
-	if *exp == "all" {
-		for _, name := range []string{"tableI", "fig2", "fig6", "tables", "ablation", "breakdown", "multierror", "multigpu", "trace", "timeline"} {
-			run(name)
-		}
-		return
+// parseSizes parses the -sizes list; nil means the defaults. Every entry
+// must be a positive integer.
+func parseSizes(s string) ([]int, error) {
+	if s == "" {
+		return nil, nil
 	}
-	run(*exp)
+	var sizes []int
+	for _, f := range strings.Split(s, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, fmt.Errorf("bad size %q: %v", f, err)
+		}
+		if v <= 0 {
+			return nil, fmt.Errorf("bad size %d: matrix sizes must be positive", v)
+		}
+		sizes = append(sizes, v)
+	}
+	return sizes, nil
 }

@@ -8,9 +8,10 @@
 //	Table II  — backward-error residuals with and without faults,
 //	Table III — orthogonality of Q with and without faults,
 //
-// plus the ablation studies called out in DESIGN.md. The cmd/experiments
-// binary and the root bench_test.go benchmarks are thin wrappers over
-// this package.
+// plus the ablation studies called out in DESIGN.md, and the studies
+// behind every committed BENCH_*.json (the Artifacts table). The
+// cmd/experiments binary and the root bench_test.go benchmarks are thin
+// wrappers over this package.
 package bench
 
 import (
@@ -18,8 +19,18 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/gpu"
 	"repro/internal/sim"
 )
+
+// pool returns k fresh indexed devices, one simulated multi-device pool.
+func pool(params sim.Params, mode gpu.Mode, k int) []*gpu.Device {
+	devs := make([]*gpu.Device, k)
+	for i := range devs {
+		devs[i] = gpu.NewIndexed(params, mode, i)
+	}
+	return devs
+}
 
 // PaperSizes is the matrix-size grid of the paper's evaluation.
 var PaperSizes = []int{1022, 2046, 3070, 4030, 5182, 6014, 7038, 8062, 9086, 10110}

@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/blas"
@@ -78,9 +75,9 @@ type BlasFTRealRun struct {
 
 // BlasFTArtifact is the committed BENCH_blasft.json.
 type BlasFTArtifact struct {
-	Procs int              `json:"procs"`
-	Reps  int              `json:"reps"`
-	Gemm  []BlasFTGemmCell `json:"gemm"`
+	Machine Provenance       `json:"machine"`
+	Reps    int              `json:"reps"`
+	Gemm    []BlasFTGemmCell `json:"gemm"`
 	// SelfTest is the planted-fault detection record; Passed must be true.
 	SelfTest    blas.FTSelfTestResult `json:"self_test"`
 	Maintenance BlasFTMaintenance     `json:"maintenance"`
@@ -100,7 +97,7 @@ var BlasFTShapes = [][3]int{
 // interleaved), the planted-fault self-test, and the modeled
 // checksum_maintenance comparison at (N=512, NB=16, K=2).
 func BlasFT(shapes [][3]int, reps int, params sim.Params) (*BlasFTArtifact, error) {
-	art := &BlasFTArtifact{Procs: runtime.GOMAXPROCS(0), Reps: reps}
+	art := &BlasFTArtifact{Machine: machine(), Reps: reps}
 	for _, s := range shapes {
 		m, n, k := s[0], s[1], s[2]
 		a := matrix.Random(m, k, 1)
@@ -115,14 +112,10 @@ func BlasFT(shapes [][3]int, reps int, params sim.Params) (*BlasFTArtifact, erro
 		for r := 0; r < reps; r++ {
 			t0 := time.Now()
 			blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-			if d := time.Since(t0).Seconds(); d < cell.PlainSec {
-				cell.PlainSec = d
-			}
+			cell.PlainSec = min(cell.PlainSec, time.Since(t0).Seconds())
 			t0 = time.Now()
 			rep, err := blas.DgemmFT(blas.NoTrans, blas.NoTrans, m, n, k, 1, a.Data, a.Stride, b.Data, b.Stride, 0, c.Data, c.Stride)
-			if d := time.Since(t0).Seconds(); d < cell.FusedSec {
-				cell.FusedSec = d
-			}
+			cell.FusedSec = min(cell.FusedSec, time.Since(t0).Seconds())
 			if err != nil {
 				return nil, fmt.Errorf("DgemmFT %dx%dx%d: spurious detection: %w (max residual %.3g)", m, n, k, err, rep.MaxResidual)
 			}
@@ -138,12 +131,8 @@ func BlasFT(shapes [][3]int, reps int, params sim.Params) (*BlasFTArtifact, erro
 	mnt := BlasFTMaintenance{N: 512, NB: 16, Devices: 2}
 	for _, sub := range []string{ft.SubstrateSwept, ft.SubstrateFused} {
 		a := matrix.New(mnt.N, mnt.N)
-		devs := make([]*gpu.Device, mnt.Devices)
-		for i := range devs {
-			devs[i] = gpu.NewIndexed(params, gpu.CostOnly, i)
-		}
 		reg := obs.NewRegistry()
-		if _, err := ft.Reduce(a, ft.Options{NB: mnt.NB, Devices: devs, Substrate: sub, Obs: reg}); err != nil {
+		if _, err := ft.Reduce(a, ft.Options{NB: mnt.NB, Devices: pool(params, gpu.CostOnly, mnt.Devices), Substrate: sub, Obs: reg}); err != nil {
 			return nil, fmt.Errorf("ft N=%d K=%d substrate=%s: %w", mnt.N, mnt.Devices, sub, err)
 		}
 		sec := obs.SumBy(reg, "phase_seconds", "phase")["checksum_maintenance"]
@@ -161,27 +150,19 @@ func BlasFT(shapes [][3]int, reps int, params sim.Params) (*BlasFTArtifact, erro
 	// Cost-only devices never execute kernels, so the check counters above
 	// stay zero; a small real-execution run records the live wiring.
 	rr := BlasFTRealRun{N: 192, NB: 16, Devices: 2}
-	{
-		a := matrix.Random(rr.N, rr.N, 3)
-		devs := make([]*gpu.Device, rr.Devices)
-		for i := range devs {
-			devs[i] = gpu.NewIndexed(params, gpu.Real, i)
-		}
-		res, err := ft.Reduce(a, ft.Options{NB: rr.NB, Devices: devs, Substrate: ft.SubstrateFused})
-		if err != nil {
-			return nil, fmt.Errorf("real fused run N=%d K=%d: %w", rr.N, rr.Devices, err)
-		}
-		rr.SubstrateChecks = res.SubstrateChecks
-		rr.SubstrateDetections = res.SubstrateDetections
+	res, err := ft.Reduce(matrix.Random(rr.N, rr.N, 3), ft.Options{NB: rr.NB, Devices: pool(params, gpu.Real, rr.Devices), Substrate: ft.SubstrateFused})
+	if err != nil {
+		return nil, fmt.Errorf("real fused run N=%d K=%d: %w", rr.N, rr.Devices, err)
 	}
+	rr.SubstrateChecks = res.SubstrateChecks
+	rr.SubstrateDetections = res.SubstrateDetections
 	art.RealRun = rr
 	return art, nil
 }
 
-// BlasFTReport prints the study as a table and, when jsonPath is
-// non-empty, writes the artifact there (wired into cmd/experiments).
-func BlasFTReport(w io.Writer, art *BlasFTArtifact, jsonPath string) error {
-	fmt.Fprintf(w, "Fused-ABFT BLAS substrate study (procs=%d, min of %d reps)\n", art.Procs, art.Reps)
+// BlasFTReport prints the study as a table.
+func BlasFTReport(w io.Writer, art *BlasFTArtifact) {
+	fmt.Fprintf(w, "Fused-ABFT BLAS substrate study (GOMAXPROCS=%d, min of %d reps)\n", art.Machine.GOMAXPROCS, art.Reps)
 	fmt.Fprintf(w, "%-16s %12s %12s %10s %10s %8s %9s\n",
 		"gemm m×n×k", "plain", "fused", "overhead", "model", "checks", "GFLOP/s")
 	for _, c := range art.Gemm {
@@ -199,16 +180,50 @@ func BlasFTReport(w io.Writer, art *BlasFTArtifact, jsonPath string) error {
 	rr := art.RealRun
 	fmt.Fprintf(w, "real fused run, FT N=%d nb=%d K=%d: %d in-kernel checks, %d detections\n",
 		rr.N, rr.NB, rr.Devices, rr.SubstrateChecks, rr.SubstrateDetections)
-	if jsonPath == "" {
-		return nil
+}
+
+// BlasShape is one GEMM shape of the host-BLAS catalogue, one per shape
+// class the reduction produces (DESIGN.md §Host BLAS).
+type BlasShape struct {
+	Shape string `json:"shape"`
+	M     int    `json:"m"`
+	N     int    `json:"n"`
+	K     int    `json:"k"`
+	// ParallelTasks is how many independent MC×NC blocks the parallel
+	// Dgemm splits the product into.
+	ParallelTasks int `json:"parallel_tasks"`
+}
+
+// BlasCatalog is the committed BENCH_blas.json: the Dgemm blocking and
+// the parallel task count per shape. It holds no timings, so it changes
+// only when the blocking does; the measured GFLOP/s are logged by
+// TestBenchBlasJSON in internal/blas and never committed.
+type BlasCatalog struct {
+	BlockMC int         `json:"block_mc"`
+	BlockNC int         `json:"block_nc"`
+	BlockKC int         `json:"block_kc"`
+	Shapes  []BlasShape `json:"shapes"`
+}
+
+// NewBlasCatalog builds the catalogue from the blas package's blocking.
+func NewBlasCatalog() *BlasCatalog {
+	k := blas.Kernels()
+	cat := &BlasCatalog{BlockMC: k.MC, BlockNC: k.NC, BlockKC: k.KC}
+	for _, s := range []BlasShape{
+		{Shape: "square_512", M: 512, N: 512, K: 512},
+		{Shape: "tall_skinny_panel_4096x8x128", M: 4096, N: 8, K: 128},
+		{Shape: "rank_nb_trailing_1024x1024x32", M: 1024, N: 1024, K: 32},
+	} {
+		s.ParallelTasks = ((s.M + k.MC - 1) / k.MC) * ((s.N + k.NC - 1) / k.NC)
+		cat.Shapes = append(cat.Shapes, s)
 	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
+	return cat
+}
+
+// BlasCatalogReport prints the catalogue as a table.
+func BlasCatalogReport(w io.Writer, cat *BlasCatalog) {
+	fmt.Fprintf(w, "Host Dgemm blocking MC=%d NC=%d KC=%d\n", cat.BlockMC, cat.BlockNC, cat.BlockKC)
+	for _, s := range cat.Shapes {
+		fmt.Fprintf(w, "%-32s %5dx%-5dx%-5d %4d parallel tasks\n", s.Shape, s.M, s.N, s.K, s.ParallelTasks)
 	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "wrote %s\n", jsonPath)
-	return nil
 }

@@ -3,7 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/blas"
 	"repro/internal/ft"
@@ -73,6 +73,53 @@ func Breakdown(w io.Writer, n, nb int, params sim.Params) {
 	fmt.Fprintf(w, "\nHost BLAS substrate: %s\n", substrateThroughput())
 }
 
+// ObsRow is one size of BENCH_obs.json: baseline vs FT modeled seconds
+// (cost-only), with the FT run's per-phase busy time read back from the
+// observability registry, so external tooling can track FT overhead
+// across commits without parsing text output.
+type ObsRow struct {
+	N              int                `json:"n"`
+	Baseline       float64            `json:"baseline_seconds"`
+	FT             float64            `json:"ft_seconds"`
+	OverheadPct    float64            `json:"ft_overhead_pct"`
+	FTPhaseSeconds map[string]float64 `json:"ft_phase_seconds"`
+}
+
+// Obs runs the baseline and FT reductions cost-only at every size in ns.
+func Obs(ns []int, nb int, params sim.Params) ([]ObsRow, error) {
+	var rows []ObsRow
+	for _, n := range ns {
+		a := matrix.New(n, n)
+		base, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Device: gpu.New(params, gpu.CostOnly)})
+		if err != nil {
+			return nil, fmt.Errorf("hybrid N=%d: %w", n, err)
+		}
+		reg := obs.NewRegistry()
+		res, err := ft.Reduce(a, ft.Options{NB: nb, Device: gpu.New(params, gpu.CostOnly), Obs: reg})
+		if err != nil {
+			return nil, fmt.Errorf("ft N=%d: %w", n, err)
+		}
+		rows = append(rows, ObsRow{
+			N:              n,
+			Baseline:       base.SimSeconds,
+			FT:             res.SimSeconds,
+			OverheadPct:    100 * (res.SimSeconds - base.SimSeconds) / base.SimSeconds,
+			FTPhaseSeconds: obs.SumBy(reg, "phase_seconds", "phase"),
+		})
+	}
+	return rows, nil
+}
+
+// ObsReport prints the rows as a table.
+func ObsReport(w io.Writer, rows []ObsRow) {
+	fmt.Fprintln(w, "FT overhead with per-phase timers (modeled, cost-only)")
+	fmt.Fprintf(w, "%-6s %12s %12s %9s %7s\n", "N", "baseline", "FT", "overhead", "phases")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-6d %11.4fs %11.4fs %8.2f%% %7d\n",
+			r.N, r.Baseline, r.FT, r.OverheadPct, len(r.FTPhaseSeconds))
+	}
+}
+
 // substrateThroughput measures the host GEMM substrate the modeled numbers
 // above ultimately depend on: it attaches a registry to the BLAS package,
 // runs one real trailing-update-shaped product through the blocked Dgemm,
@@ -101,16 +148,12 @@ func substrateThroughput() string {
 
 // sortedKeys returns the union of the maps' keys, sorted.
 func sortedKeys(ms ...map[string]float64) []string {
-	seen := map[string]bool{}
-	var order []string
+	var keys []string
 	for _, m := range ms {
 		for k := range m {
-			if !seen[k] {
-				seen[k] = true
-				order = append(order, k)
-			}
+			keys = append(keys, k)
 		}
 	}
-	sort.Strings(order)
-	return order
+	slices.Sort(keys)
+	return slices.Compact(keys)
 }

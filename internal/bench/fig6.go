@@ -82,12 +82,8 @@ func Fig6(w io.Writer, sizes []int, nb int, params sim.Params) []Fig6Panel {
 					panic(err)
 				}
 				ov := (f.SimSeconds - bs.baseSec) / bs.baseSec
-				if ov < row.OverheadMin {
-					row.OverheadMin = ov
-				}
-				if ov > row.OverheadMax {
-					row.OverheadMax = ov
-				}
+				row.OverheadMin = min(row.OverheadMin, ov)
+				row.OverheadMax = max(row.OverheadMax, ov)
 			}
 			panel.Rows = append(panel.Rows, row)
 		}

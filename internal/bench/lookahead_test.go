@@ -1,15 +1,8 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"strings"
-	"testing"
+import "testing"
 
-	"repro/internal/sim"
-)
-
-// TestBenchLookaheadJSON regenerates BENCH_lookahead.json — the modeled
+// TestBenchLookaheadJSON runs the study behind BENCH_lookahead.json — the modeled
 // effect of the depth-1 lookahead schedule across N ∈ {512,1024,2048}
 // and pool sizes K ∈ {1,2,4} — and enforces the acceptance bars: at the
 // largest cell (N=2048, K=4) the FT reduction must clear 1.2× the
@@ -19,31 +12,13 @@ import (
 // over the previous release), lookahead-on must still beat lookahead-off,
 // and the hidden share of panel-factorization time must be material
 // (>80%: every panel after the first runs under the previous trailing
-// update). Cost-only runs are deterministic, so the artifact is committed
-// and only changes with the schedule or the cost model.
+// update). Cost-only runs are deterministic; TestCommittedArtifacts
+// checks the committed file against a fresh run.
 func TestBenchLookaheadJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cost-only grid up to N=2048: skipped in -short mode")
 	}
-	art, err := Lookahead([]int{512, 1024, 2048}, []int{1, 2, 4}, 32, sim.K40c())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var sb strings.Builder
-	if err := LookaheadReport(&sb, art, ""); err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + sb.String())
-
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_lookahead.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	art := runArtifact[*LookaheadArtifact](t, "lookahead")
 	if got := len(art.Cells); got != 18 {
 		t.Fatalf("expected 18 cells (2 schedules × 3 sizes × 3 pools), got %d", got)
 	}

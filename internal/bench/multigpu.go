@@ -51,18 +51,11 @@ func MultiGPU(n, nb int, ks []int, params sim.Params) (*MultiGPUArtifact, error)
 	art := &MultiGPUArtifact{N: n, NB: nb, GPU: "Tesla K40c (modeled)"}
 	var hyb1, ft1 float64
 	for _, k := range ks {
-		pool := func() []*gpu.Device {
-			devs := make([]*gpu.Device, k)
-			for i := range devs {
-				devs[i] = gpu.NewIndexed(params, gpu.CostOnly, i)
-			}
-			return devs
-		}
-		hres, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Devices: pool()})
+		hres, err := hybrid.Reduce(a, hybrid.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k)})
 		if err != nil {
 			return nil, fmt.Errorf("hybrid K=%d: %w", k, err)
 		}
-		fres, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool()})
+		fres, err := ft.Reduce(a, ft.Options{NB: nb, Devices: pool(params, gpu.CostOnly, k)})
 		if err != nil {
 			return nil, fmt.Errorf("ft K=%d: %w", k, err)
 		}

@@ -1,45 +1,21 @@
 package bench
 
-import (
-	"encoding/json"
-	"os"
-	"strings"
-	"testing"
+import "testing"
 
-	"repro/internal/sim"
-)
-
-// TestBenchMultiGPUJSON regenerates BENCH_multigpu.json — the modeled
+// TestBenchMultiGPUJSON runs the study behind BENCH_multigpu.json — the modeled
 // device-scaling curve of the block-column-sharded trailing update at
 // the acceptance size (N=2048, nb=16) — and enforces the scaling bar:
 // the K=4 pool must cut the baseline's makespan by ≥2× versus K=1.
 // (The bar was 2.5× before the lookahead schedule; lookahead hides the
 // serial panel factorization that used to dominate K=1, so the K=1
 // baseline got faster and the ratio compressed even though absolute
-// makespans improved at every K.) Cost-only runs are deterministic, so
-// the artifact is committed and only changes when the schedule or the
-// cost model changes.
+// makespans improved at every K.) Cost-only runs are deterministic;
+// TestCommittedArtifacts checks the committed file against a fresh run.
 func TestBenchMultiGPUJSON(t *testing.T) {
 	if testing.Short() {
 		t.Skip("N=2048 cost-only sweep: skipped in -short mode")
 	}
-	art, err := MultiGPU(2048, 16, []int{1, 2, 4}, sim.K40c())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var sb strings.Builder
-	MultiGPUReport(&sb, art)
-	t.Log("\n" + sb.String())
-
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile("../../BENCH_multigpu.json", append(buf, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
+	art := runArtifact[*MultiGPUArtifact](t, "multigpu")
 	if len(art.Rows) != 3 || art.Rows[0].Devices != 1 {
 		t.Fatalf("unexpected rows: %+v", art.Rows)
 	}

@@ -1,14 +1,10 @@
 package bench
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"time"
 
@@ -57,7 +53,8 @@ type ServeObsArtifact struct {
 	// between repetitions so warm-up drift cannot favor either arm. The
 	// per-arm walls above are the minima across repetitions
 	// (descriptive, not the overhead basis).
-	OverheadPct float64 `json:"overhead_pct"`
+	OverheadPct float64    `json:"overhead_pct"`
+	Machine     Provenance `json:"machine"`
 }
 
 // serveObsArm serves the whole job mix once at the given Observe level
@@ -73,67 +70,22 @@ func serveObsArm(observe string, n, nb, jobs, capacity int) (float64, []float64,
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := func(seed int) string {
-		return fmt.Sprintf(`{"algorithm":"ft","n":%d,"nb":%d,"seed":%d}`, n, nb, seed)
-	}
 	start := time.Now()
-	ids := make([]string, 0, jobs)
-	for i := 0; i < jobs; i++ {
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-			bytes.NewReader([]byte(body(i+1))))
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		var st struct {
-			ID string `json:"id"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if resp.StatusCode != http.StatusAccepted {
-			return 0, nil, nil, fmt.Errorf("serveobs: submit returned %d", resp.StatusCode)
-		}
-		ids = append(ids, st.ID)
-	}
-	for _, id := range ids {
-		j, ok := s.Job(id)
-		if !ok {
-			return 0, nil, nil, fmt.Errorf("serveobs: job %s disappeared", id)
-		}
-		<-j.Done()
+	ids, err := runJobs(s, ts, jobs, func(i int) string {
+		return fmt.Sprintf(`{"algorithm":"ft","n":%d,"nb":%d,"seed":%d}`, n, nb, i+1)
+	})
+	if err != nil {
+		return 0, nil, nil, err
 	}
 	wall := time.Since(start).Seconds()
 
 	durations := make([]float64, 0, jobs)
 	for _, id := range ids {
-		resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		d, err := jobWindow(ts, id)
 		if err != nil {
 			return 0, nil, nil, err
 		}
-		var st struct {
-			State    string `json:"state"`
-			Started  string `json:"started"`
-			Finished string `json:"finished"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&st)
-		resp.Body.Close()
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		if st.State != serve.StateDone {
-			return 0, nil, nil, fmt.Errorf("serveobs: job %s ended %s", id, st.State)
-		}
-		t0, err := time.Parse(time.RFC3339Nano, st.Started)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		t1, err := time.Parse(time.RFC3339Nano, st.Finished)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		durations = append(durations, t1.Sub(t0).Seconds())
+		durations = append(durations, d)
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		return 0, nil, nil, err
@@ -147,72 +99,60 @@ func serveObsArm(observe string, n, nb, jobs, capacity int) (float64, []float64,
 // the minimum wall is the least-disturbed execution, and its registry
 // supplies the quantiles so latency and wall time describe the same run.
 func ServeObs(n, nb, jobs, capacity, reps int) (*ServeObsArtifact, error) {
-	art := &ServeObsArtifact{N: n, NB: nb, Jobs: jobs, Capacity: capacity, Repetitions: reps}
-	arms := []struct {
-		observe string
-		out     *ServeObsArm
-	}{
-		{serve.ObserveSLO, &art.SLO},
-		{serve.ObserveFull, &art.Full},
-	}
-	best := map[string]float64{}
-	bestReg := map[string]*obs.Registry{}
-	durs := map[string][][]float64{}
+	art := &ServeObsArtifact{N: n, NB: nb, Jobs: jobs, Capacity: capacity, Repetitions: reps, Machine: machine()}
+	// Arm 0 is observe=slo, arm 1 observe=full; odd repetitions run
+	// them in the opposite order.
+	observe := [2]string{serve.ObserveSLO, serve.ObserveFull}
+	var best [2]float64
+	var bestReg [2]*obs.Registry
+	var durs [2][][]float64
 	for r := 0; r < reps; r++ {
-		order := []int{0, 1}
-		if r%2 == 1 {
-			order = []int{1, 0}
-		}
-		for _, ai := range order {
-			arm := arms[ai]
-			wall, d, reg, err := serveObsArm(arm.observe, n, nb, jobs, capacity)
+		for k := 0; k < 2; k++ {
+			ai := k ^ r%2
+			wall, d, reg, err := serveObsArm(observe[ai], n, nb, jobs, capacity)
 			if err != nil {
 				return nil, err
 			}
-			durs[arm.observe] = append(durs[arm.observe], d)
-			if b, ok := best[arm.observe]; !ok || wall < b {
-				best[arm.observe] = wall
-				bestReg[arm.observe] = reg
+			durs[ai] = append(durs[ai], d)
+			if bestReg[ai] == nil || wall < best[ai] {
+				best[ai], bestReg[ai] = wall, reg
 			}
 		}
 	}
-	for _, arm := range arms {
-		wall := best[arm.observe]
+	for ai, out := range []*ServeObsArm{&art.SLO, &art.Full} {
 		var snap obs.HistogramSnapshot
-		for _, s := range obs.MergeBy(bestReg[arm.observe], "serve_job_duration_seconds", "outcome") {
+		for _, s := range obs.MergeBy(bestReg[ai], "serve_job_duration_seconds", "outcome") {
 			snap.Merge(s)
 		}
 		q := snap.Quantiles(obs.ExportQuantiles...)
-		*arm.out = ServeObsArm{
-			Observe:     arm.observe,
-			WallSeconds: wall,
-			JobsPerSec:  float64(jobs) / wall,
+		*out = ServeObsArm{
+			Observe:     observe[ai],
+			WallSeconds: best[ai],
+			JobsPerSec:  float64(jobs) / best[ai],
 			P50:         q[0], P95: q[1], P99: q[2],
 		}
 	}
 	// Job i runs the same seed everywhere, so min-across-reps is each
 	// arm's least-disturbed execution of the identical computation; the
 	// median over jobs of the min ratios is the overhead estimate.
-	minDur := func(arm string, i int) float64 {
-		m := durs[arm][0][i]
-		for _, d := range durs[arm][1:] {
-			if d[i] < m {
-				m = d[i]
-			}
+	minDur := func(ai, i int) float64 {
+		m := durs[ai][0][i]
+		for _, d := range durs[ai][1:] {
+			m = min(m, d[i])
 		}
 		return m
 	}
 	ratios := make([]float64, jobs)
-	for i := 0; i < jobs; i++ {
-		ratios[i] = minDur(serve.ObserveFull, i) / minDur(serve.ObserveSLO, i)
+	for i := range ratios {
+		ratios[i] = minDur(1, i) / minDur(0, i)
 	}
 	sort.Float64s(ratios)
 	art.OverheadPct = (ratios[jobs/2] - 1) * 100
 	return art, nil
 }
 
-// ServeObsReport prints the artifact and optionally writes the JSON file.
-func ServeObsReport(w io.Writer, art *ServeObsArtifact, outPath string) error {
+// ServeObsReport prints the comparison as a table.
+func ServeObsReport(w io.Writer, art *ServeObsArtifact) {
 	fmt.Fprintf(w, "Serving-path instrumentation overhead (N=%d, nb=%d, %d FT jobs, capacity %d, best of %d)\n",
 		art.N, art.NB, art.Jobs, art.Capacity, art.Repetitions)
 	fmt.Fprintf(w, "%-8s %12s %10s %10s %10s %10s\n", "observe", "wall (s)", "jobs/s", "p50 (s)", "p95 (s)", "p99 (s)")
@@ -221,12 +161,4 @@ func ServeObsReport(w io.Writer, art *ServeObsArtifact, outPath string) error {
 			a.Observe, a.WallSeconds, a.JobsPerSec, a.P50, a.P95, a.P99)
 	}
 	fmt.Fprintf(w, "overhead: %+.2f%% (acceptance gate: <= 3%%)\n", art.OverheadPct)
-	if outPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(buf, '\n'), 0o644)
 }

@@ -8,7 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -86,31 +86,73 @@ type ThroughputArtifact struct {
 	ItemsPerJob     int              `json:"items_per_job"`
 	Sizes           []ThroughputSize `json:"sizes"`
 	Cache           CacheStudy       `json:"cache"`
-	Build           serve.BuildInfo  `json:"build"`
+	Machine         Provenance       `json:"machine"`
 }
 
-// submitJob posts one request body and returns the accepted job ID.
-func submitJob(ts *httptest.Server, body string) (string, error) {
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body)))
-	if err != nil {
-		return "", err
+// runJobs posts jobs request bodies, body(0) first, then waits until
+// every accepted job has finished and returns their IDs in order.
+func runJobs(s *serve.Server, ts *httptest.Server, jobs int, body func(i int) string) ([]string, error) {
+	ids := make([]string, jobs)
+	for i := range ids {
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader([]byte(body(i))))
+		if err != nil {
+			return nil, err
+		}
+		var st struct {
+			ID string `json:"id"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			return nil, fmt.Errorf("submit returned %d", resp.StatusCode)
+		}
+		ids[i] = st.ID
 	}
-	var st struct {
-		ID string `json:"id"`
+	for _, id := range ids {
+		j, ok := s.Job(id)
+		if !ok {
+			return nil, fmt.Errorf("job %s disappeared", id)
+		}
+		<-j.Done()
 	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		return "", err
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		return "", fmt.Errorf("throughput: submit returned %d", resp.StatusCode)
-	}
-	return st.ID, nil
+	return ids, nil
 }
 
-// jobOutcome polls one finished job's status for its execution window
-// and its result for the served payload.
+// getJSON decodes the body of GET path into v.
+func getJSON(ts *httptest.Server, path string, v any) error {
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// jobWindow reads one finished job's execution window (started→finished,
+// queue wait excluded) off its status endpoint.
+func jobWindow(ts *httptest.Server, id string) (float64, error) {
+	var st serve.JobStatus
+	if err := getJSON(ts, "/v1/jobs/"+id, &st); err != nil {
+		return 0, err
+	}
+	if st.State != serve.StateDone {
+		return 0, fmt.Errorf("job %s ended %s", id, st.State)
+	}
+	t0, err := time.Parse(time.RFC3339Nano, st.Started)
+	if err != nil {
+		return 0, err
+	}
+	t1, err := time.Parse(time.RFC3339Nano, st.Finished)
+	if err != nil {
+		return 0, err
+	}
+	return t1.Sub(t0).Seconds(), nil
+}
+
+// jobOutcome is one finished job's execution window and served payload.
 type jobOutcome struct {
 	duration float64
 	cached   bool
@@ -119,35 +161,8 @@ type jobOutcome struct {
 
 func fetchOutcome(ts *httptest.Server, id string) (jobOutcome, error) {
 	var out jobOutcome
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
-	if err != nil {
-		return out, err
-	}
-	var st struct {
-		State    string `json:"state"`
-		Started  string `json:"started"`
-		Finished string `json:"finished"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		return out, err
-	}
-	if st.State != serve.StateDone {
-		return out, fmt.Errorf("throughput: job %s ended %s", id, st.State)
-	}
-	t0, err := time.Parse(time.RFC3339Nano, st.Started)
-	if err != nil {
-		return out, err
-	}
-	t1, err := time.Parse(time.RFC3339Nano, st.Finished)
-	if err != nil {
-		return out, err
-	}
-	out.duration = t1.Sub(t0).Seconds()
-
-	resp, err = http.Get(ts.URL + "/v1/jobs/" + id + "/result")
-	if err != nil {
+	var err error
+	if out.duration, err = jobWindow(ts, id); err != nil {
 		return out, err
 	}
 	var res struct {
@@ -158,9 +173,7 @@ func fetchOutcome(ts *httptest.Server, id string) (jobOutcome, error) {
 			Cached       bool   `json:"cached"`
 		} `json:"items"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&res)
-	resp.Body.Close()
-	if err != nil {
+	if err := getJSON(ts, "/v1/jobs/"+id+"/result", &res); err != nil {
 		return out, err
 	}
 	if len(res.Items) > 0 {
@@ -213,20 +226,9 @@ func throughputArm(n, nb, lanes, devices, jobs, itemsPer, capacity int) (Through
 	}
 
 	start := time.Now()
-	ids := make([]string, 0, jobs)
-	for i := 0; i < jobs; i++ {
-		id, err := submitJob(ts, body(i))
-		if err != nil {
-			return arm, nil, err
-		}
-		ids = append(ids, id)
-	}
-	for _, id := range ids {
-		j, ok := s.Job(id)
-		if !ok {
-			return arm, nil, fmt.Errorf("throughput: job %s disappeared", id)
-		}
-		<-j.Done()
+	ids, err := runJobs(s, ts, jobs, body)
+	if err != nil {
+		return arm, nil, err
 	}
 	arm.WallSeconds = time.Since(start).Seconds()
 
@@ -272,16 +274,13 @@ func throughputCache(n, nb, pairs int) (CacheStudy, error) {
 	defer ts.Close()
 
 	runOne := func(seed int) (jobOutcome, error) {
-		id, err := submitJob(ts, fmt.Sprintf(`{"n":%d,"nb":%d,"seed":%d}`, n, nb, seed))
+		ids, err := runJobs(s, ts, 1, func(int) string {
+			return fmt.Sprintf(`{"n":%d,"nb":%d,"seed":%d}`, n, nb, seed)
+		})
 		if err != nil {
 			return jobOutcome{}, err
 		}
-		j, ok := s.Job(id)
-		if !ok {
-			return jobOutcome{}, fmt.Errorf("throughput: job %s disappeared", id)
-		}
-		<-j.Done()
-		return fetchOutcome(ts, id)
+		return fetchOutcome(ts, ids[0])
 	}
 
 	var misses, hits []float64
@@ -329,7 +328,7 @@ func throughputCache(n, nb, pairs int) (CacheStudy, error) {
 func Throughput(sizes []int, nb, devices, lanes, jobs, itemsPer, capacity, cachePairs int) (*ThroughputArtifact, error) {
 	art := &ThroughputArtifact{
 		Devices: devices, FractionalLanes: lanes, Capacity: capacity,
-		ItemsPerJob: itemsPer, Build: serve.Build(),
+		ItemsPerJob: itemsPer, Machine: machine(),
 	}
 	for _, n := range sizes {
 		whole, wd, err := throughputArm(n, nb, 1, devices, jobs, itemsPer, capacity)
@@ -340,12 +339,10 @@ func Throughput(sizes []int, nb, devices, lanes, jobs, itemsPer, capacity, cache
 		if err != nil {
 			return nil, err
 		}
-		sort.Strings(wd)
-		sort.Strings(fd)
-		for i := range wd {
-			if wd[i] != fd[i] {
-				return nil, fmt.Errorf("throughput: n=%d digest drift between lease granularities", n)
-			}
+		slices.Sort(wd)
+		slices.Sort(fd)
+		if !slices.Equal(wd, fd) {
+			return nil, fmt.Errorf("throughput: n=%d digest drift between lease granularities", n)
 		}
 		sz := ThroughputSize{N: n, NB: nb, Whole: whole, Fractional: frac}
 		if whole.ModeledJobsPerSec > 0 {
@@ -360,8 +357,8 @@ func Throughput(sizes []int, nb, devices, lanes, jobs, itemsPer, capacity, cache
 	return art, nil
 }
 
-// ThroughputReport prints the artifact and optionally writes the JSON.
-func ThroughputReport(w io.Writer, art *ThroughputArtifact, outPath string) error {
+// ThroughputReport prints the study as a table.
+func ThroughputReport(w io.Writer, art *ThroughputArtifact) {
 	fmt.Fprintf(w, "Batched small-N throughput: whole-device vs %d fractional lanes (%d devices, capacity %d, %d items/job)\n",
 		art.FractionalLanes, art.Devices, art.Capacity, art.ItemsPerJob)
 	fmt.Fprintf(w, "%6s %6s %6s | %14s %14s | %9s\n",
@@ -375,12 +372,4 @@ func ThroughputReport(w io.Writer, art *ThroughputArtifact, outPath string) erro
 	c := art.Cache
 	fmt.Fprintf(w, "result cache (n=%d, %d pairs): miss %.6fs  hit %.6fs  %.0fx  digests_verified=%v\n",
 		c.N, c.Pairs, c.MissSeconds, c.HitSeconds, c.SpeedupX, c.DigestsVerified)
-	if outPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(art, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(buf, '\n'), 0o644)
 }

@@ -23,6 +23,19 @@ const (
 	gemmNC = 256
 )
 
+// KernelInfo describes the Dgemm blocking and whether the amd64 assembly
+// kernels (Dgemm micro-tile, NoTrans Dgemv) are active on this machine.
+type KernelInfo struct {
+	MC, NC, KC int
+	AVX2       bool
+}
+
+// Kernels reports the Dgemm blocking and assembly-kernel selection, for
+// benchmark catalogues and the provenance of wall-timed measurements.
+func Kernels() KernelInfo {
+	return KernelInfo{MC: gemmMC, NC: gemmNC, KC: gemmKC, AVX2: useAVXKernel}
+}
+
 // microKernel computes the full MR×NR tile update
 //
 //	C(0:4, 0:4) += alpha · Σ_p pa(:,p)·pb(p,:)ᵀ

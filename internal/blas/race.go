@@ -3,6 +3,5 @@
 package blas
 
 // raceEnabled reports whether the race detector is compiled in; the
-// wall-clock benchmarks skip artifact regeneration under its ~10-20×
-// slowdown so BENCH_blas.json only ever holds representative numbers.
+// wall-clock measurements skip their bars under its ~10-20× slowdown.
 const raceEnabled = true

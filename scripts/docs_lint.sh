@@ -8,7 +8,8 @@
 #    comment (the reliability story is documented at the source).
 # 3. Every BENCH_*.json artifact referenced in README.md / DESIGN.md /
 #    EXPERIMENTS.md must exist in the repository (a claim citing a
-#    bench artifact that was never committed is drift).
+#    bench artifact that was never committed is drift), and so must
+#    every artifact in the internal/bench table.
 # 4. Every numeric `DESIGN §N` / `DESIGN.md §N` cross-reference in the
 #    docs and in Go doc comments must resolve to a real `## N.` section
 #    header in DESIGN.md (non-numeric references like `§Host BLAS` are
@@ -71,16 +72,21 @@ for a in $arts; do
 done
 echo "docs_lint: $(echo "$arts" | wc -l) referenced BENCH artifacts exist"
 
-# --- acceptance-gated artifacts must be committed ---------------------
-# These artifacts carry acceptance bars enforced by gating tests; a tree
-# without them has lost its measured evidence.
-for a in BENCH_throughput.json; do
+# --- every artifact in the bench table must be committed --------------
+# internal/bench.Artifacts is the one list of committed artifacts; a tree
+# without one of them has lost its recorded evidence.
+required=$(grep -o '"BENCH_[a-zA-Z0-9_]*\.json"' internal/bench/artifacts.go | tr -d '"')
+if [ -z "$required" ]; then
+    echo "docs_lint: no artifacts found in internal/bench/artifacts.go — lint is broken" >&2
+    exit 1
+fi
+for a in $required; do
     if [ ! -f "$a" ]; then
         echo "docs_lint: required artifact $a is not committed" >&2
         fail=1
     fi
 done
-echo "docs_lint: required BENCH artifacts committed"
+echo "docs_lint: $(echo "$required" | wc -l) required BENCH artifacts committed"
 
 # --- numeric DESIGN § cross-references must resolve -------------------
 secs=$( (grep -rho 'DESIGN\(\.md\)\{0,1\} §[0-9][0-9]*' $docs;

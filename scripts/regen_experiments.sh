@@ -3,6 +3,9 @@
 # EXPERIMENTS.md quotes, so the prose is script-generated, not hand-typed:
 #
 #   * experiments_output.txt       — full run of the Section VI harness
+#                                    (`-exp all`), which also rewrites
+#                                    every BENCH_*.json artifact of the
+#                                    internal/bench table
 #   * BENCH_campaign.json          — aggregate of the reliability sweep
 #   * EXPERIMENTS.md               — the block between the
 #     `<!-- campaign:generated ... -->` markers is replaced with the
@@ -51,4 +54,4 @@ awk -v block="$tmp/block.md" '
 ' EXPERIMENTS.md > "$tmp/EXPERIMENTS.md"
 mv "$tmp/EXPERIMENTS.md" EXPERIMENTS.md
 
-echo "regenerated: experiments_output.txt BENCH_campaign.json EXPERIMENTS.md" >&2
+echo "regenerated: experiments_output.txt BENCH_*.json EXPERIMENTS.md" >&2
