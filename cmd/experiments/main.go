@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/hybrid"
 	"repro/internal/sim"
 )
 
@@ -35,14 +36,14 @@ func main() {
 	}
 	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, "|"))
 	nb := flag.Int("nb", 32, "block size of the text reports")
-	sizesFlag := flag.String("sizes", "", "comma-separated positive matrix sizes of the text reports (overrides defaults)")
+	sizesFlag := flag.String("sizes", "", "comma-separated matrix sizes of the text reports, each at least max(nb,2)+2 (overrides defaults)")
 	paper := flag.Bool("paper", false, "use the paper's full size grid for fig6 (cost-only, still fast)")
 	seed := flag.Uint64("seed", 158, "workload seed")
 	traceOut := flag.String("traceout", "", "write a Chrome trace JSON of the timeline experiment to this file")
 	outDir := flag.String("out", ".", "directory the BENCH_*.json artifacts are written to (empty writes nothing)")
 	flag.Parse()
 
-	sizes, err := parseSizes(*sizesFlag)
+	sizes, err := parseSizes(*sizesFlag, *nb)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -108,19 +109,26 @@ func main() {
 }
 
 // parseSizes parses the -sizes list; nil means the defaults. Every entry
-// must be a positive integer.
-func parseSizes(s string) ([]int, error) {
+// must be large enough for at least one blocked iteration at block size
+// nb (n ≥ max(nb,2)+2; the reports run a non-positive nb as
+// hybrid.DefaultNB): the fault-injection studies strike inside the
+// blocked loop, and the figures divide by its work.
+func parseSizes(s string, nb int) ([]int, error) {
 	if s == "" {
 		return nil, nil
 	}
+	if nb <= 0 {
+		nb = hybrid.DefaultNB
+	}
+	minN := max(nb, 2) + 2
 	var sizes []int
 	for _, f := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
 			return nil, fmt.Errorf("bad size %q: %v", f, err)
 		}
-		if v <= 0 {
-			return nil, fmt.Errorf("bad size %d: matrix sizes must be positive", v)
+		if v < minN {
+			return nil, fmt.Errorf("bad size %d: at nb=%d a matrix needs at least %d rows for one blocked iteration", v, nb, minN)
 		}
 		sizes = append(sizes, v)
 	}

@@ -100,29 +100,27 @@ func TestDeriveTrialSeedIndependent(t *testing.T) {
 	}
 }
 
+// A one-cell sweep: triage on, so a silent corruption comes with its
+// minimal repro.
 func TestRunCampaignSmall(t *testing.T) {
-	rep, err := Run(Config{N: 126, NB: 16, Trials: 12, Lambda: 1.0, Seed: 7})
+	rep, err := RunSweep(&Sweep{Ns: []int{126}, NBs: []int{16}, Lambdas: []float64{1.0}, TrialsPerCell: 12, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Trials) != 12 {
-		t.Fatalf("%d trials", len(rep.Trials))
+	if len(rep.Cells) != 1 || rep.TotalTrials != 12 {
+		t.Fatalf("%d cells, %d trials", len(rep.Cells), rep.TotalTrials)
 	}
 	// The scheme's purpose: no silent corruption.
-	if rep.ByOutcome[SilentCorrupt] != 0 {
-		for _, tr := range rep.Trials {
-			if tr.Outcome == SilentCorrupt {
-				t.Fatalf("silent corruption: injections %+v residual %v", tr.Injections, tr.Residual)
-			}
-		}
+	if rep.Outcome(SilentCorrupt) != 0 {
+		t.Fatalf("silent corruption: %+v", rep.Cells[0].Repros)
 	}
 	// With λ=1 over 12 trials, some errors must have been injected and
 	// handled.
 	if rep.Injections == 0 {
 		t.Fatal("campaign injected nothing")
 	}
-	if rep.ByOutcome[Recovered]+rep.ByOutcome[SilentBenign]+rep.ByOutcome[Uncorrectable] == 0 {
-		t.Fatalf("no faulted trial completed: %+v", rep.ByOutcome)
+	if rep.Outcome(Recovered)+rep.Outcome(SilentBenign)+rep.Outcome(Uncorrectable) == 0 {
+		t.Fatalf("no faulted trial completed: %+v", rep.ByName)
 	}
 	var b bytes.Buffer
 	rep.Print(&b)
@@ -146,12 +144,6 @@ func TestJSONFloatRoundTrip(t *testing.T) {
 		if got != v && !(math.IsNaN(got) && math.IsNaN(v)) {
 			t.Fatalf("residual %v round-tripped to %v", v, got)
 		}
-	}
-}
-
-func TestRunValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
-		t.Fatal("empty config accepted")
 	}
 }
 

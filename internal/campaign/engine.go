@@ -22,10 +22,10 @@ import (
 // -workers 1 and a -workers 64 run of the same sweep therefore produce
 // identical bytes everywhere but the wall clock.
 
-// trialResult pairs the machine-readable record with the in-memory trial.
+// trialResult is one trial's machine-readable record plus its engine
+// state.
 type trialResult struct {
 	record  TrialRecord
-	trial   Trial
 	resumed bool
 	err     error
 }
@@ -157,26 +157,23 @@ func (s *Sweep) runTrial(cell Cell, trial int, a *matrix.Matrix, journal *obs.Jo
 	s.applyDevices(&opt, cell.Devices)
 	res, err := ft.Reduce(a, opt)
 
-	t := Trial{Seed: seed, Injections: rec.Plans, Err: err}
+	var outcome Outcome
 	if in != nil {
 		rec.Injections = len(in.Log)
 	}
 	if err != nil {
 		if errors.Is(err, ft.ErrUncorrectable) || errors.Is(err, ft.ErrDetectionStorm) {
-			t.Outcome = Uncorrectable
+			outcome = Uncorrectable
 			rec.Detections = res.Detections
 			rec.Recoveries = res.Recoveries
 			rec.Reexecutions = res.Reexecutions
 			rec.DeviceLosses = res.DeviceLosses
-			t.Err = nil
 		} else {
 			rec.Err = err.Error()
 			rec.Outcome = "error"
-			return trialResult{record: rec, trial: t, err: fmt.Errorf("campaign cell %d trial %d: %w", cell.Index, trial, err)}
+			return trialResult{record: rec, err: fmt.Errorf("campaign cell %d trial %d: %w", cell.Index, trial, err)}
 		}
 	} else {
-		t.Detections = res.Detections
-		t.Recoveries = res.Recoveries
 		rec.Detections = res.Detections
 		rec.Recoveries = res.Recoveries
 		rec.Reexecutions = res.Reexecutions
@@ -184,24 +181,24 @@ func (s *Sweep) runTrial(cell Cell, trial int, a *matrix.Matrix, journal *obs.Jo
 		rec.DeviceLosses = res.DeviceLosses
 		rec.FailStopRecoveries = res.FailStopRecoveries
 		rec.SimSeconds = res.SimSeconds
-		t.Residual = lapack.FactorizationResidual(a, res.Q(), res.H())
-		rec.Residual = JSONFloat(t.Residual)
-		correct := t.Residual <= s.ResidualTol
+		residual := lapack.FactorizationResidual(a, res.Q(), res.H())
+		rec.Residual = JSONFloat(residual)
+		correct := residual <= s.ResidualTol
 		handled := res.Detections > 0 || res.QCorrections > 0 || res.FailStopRecoveries > 0
 		switch {
 		case rec.Injections == 0 && res.DeviceLosses == 0:
-			t.Outcome = CleanPass
+			outcome = CleanPass
 		case handled && correct:
-			t.Outcome = Recovered
+			outcome = Recovered
 		case correct:
-			t.Outcome = SilentBenign
+			outcome = SilentBenign
 		default:
-			t.Outcome = SilentCorrupt
+			outcome = SilentCorrupt
 		}
 	}
-	rec.Outcome = t.Outcome.String()
-	rec.out = t.Outcome
-	return trialResult{record: rec, trial: t}
+	rec.Outcome = outcome.String()
+	rec.out = outcome
+	return trialResult{record: rec}
 }
 
 // runTrials fans the sweep's trials out over the worker pool and streams
@@ -232,7 +229,7 @@ func (s *Sweep) runTrials(cells []Cell) ([][]trialResult, error) {
 						Cell{NoLookahead: rec.NoLookahead}.Schedule(), rec.KillRate,
 						Cell{Substrate: rec.Substrate}.SubstrateName())
 				}
-				results[ci][t] = trialResult{record: rec, trial: rec.toTrial(), resumed: true}
+				results[ci][t] = trialResult{record: rec, resumed: true}
 				completed[ci*nTrials+t] = true
 			} else {
 				pending = append(pending, item{ci, t})

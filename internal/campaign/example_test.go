@@ -7,21 +7,6 @@ import (
 	"repro/internal/fault"
 )
 
-// ExampleRun executes a small single-cell campaign: Poisson error
-// arrivals, footprint-weighted areas, random bit flips. The seed fixes
-// every trial, so the output is reproducible at any worker count.
-func ExampleRun() {
-	rep, err := campaign.Run(campaign.Config{
-		N: 96, NB: 16, Trials: 6, Lambda: 1, Seed: 5, Workers: 2,
-	})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("trials=%d injections=%d silent-corrupt=%d\n",
-		len(rep.Trials), rep.Injections, rep.ByOutcome[campaign.SilentCorrupt])
-	// Output: trials=6 injections=5 silent-corrupt=0
-}
-
 // ExampleSweep_Run sweeps a grid of problem sizes and error rates and
 // reads the per-cell detection coverage off the aggregate report.
 func ExampleSweep_Run() {

@@ -3,7 +3,6 @@ package campaign
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"io"
 
 	"repro/internal/fault"
@@ -86,22 +85,6 @@ type TrialRecord struct {
 
 // outcome returns the parsed Outcome (set at creation or load time).
 func (r TrialRecord) outcome() Outcome { return r.out }
-
-// toTrial reconstructs the in-memory Trial view of a resumed record.
-func (r TrialRecord) toTrial() Trial {
-	t := Trial{
-		Outcome:    r.out,
-		Seed:       r.Seed,
-		Injections: r.Plans,
-		Detections: r.Detections,
-		Recoveries: r.Recoveries,
-		Residual:   float64(r.Residual),
-	}
-	if r.Err != "" {
-		t.Err = errors.New(r.Err)
-	}
-	return t
-}
 
 // writeTrialRecord emits one JSONL line.
 func writeTrialRecord(w io.Writer, rec TrialRecord) error {

@@ -136,7 +136,7 @@ type Sweep struct {
 	Progress func(done, total int)
 	// Triage re-runs every failed trial (SilentCorrupt / Uncorrectable)
 	// with an FT event journal attached and embeds the minimal repro in
-	// the cell report (default on via RunSweep; set by Run()).
+	// the cell report (RunSweep turns it on).
 	Triage bool
 
 	// mats caches the shared read-only input matrix per order N.
@@ -207,7 +207,6 @@ type SweepReport struct {
 	WallSeconds float64 `json:"-"`
 
 	outcomes [numOutcomes]int
-	results  [][]trialResult
 }
 
 // Outcome reads one outcome's total count across all cells.
@@ -365,7 +364,6 @@ func (s *Sweep) Run() (*SweepReport, error) {
 		Seed:          s.Seed,
 		TrialsPerCell: s.TrialsPerCell,
 		ByName:        map[string]int{},
-		results:       results,
 	}
 	baselines := s.baselines(cells)
 	for ci, cell := range cells {

@@ -88,7 +88,7 @@ type IterCtx struct {
 	Host *matrix.Matrix
 	// Iter, Panel, NB, N describe the upcoming iteration.
 	Iter, Panel, NB, N int
-	// reducer backs the process-level snapshot capture (snapshot.go).
+	// reducer backs KillDevice on the single-device path.
 	reducer *reducer
 	// multi backs the accessor methods on the multi-device path.
 	multi *multiReducer
@@ -192,9 +192,8 @@ type Options struct {
 	// slab is corrected in place — the path takes no panel checkpoints
 	// and never re-executes (Checkpoints and Reexecutions stay zero),
 	// and every check sweeps whole slabs, finished columns included, so
-	// FinalHCheck is implied. Device and DisableOverlap are ignored,
-	// snapshot resume is unsupported. For a fixed input, results are
-	// bit-identical at every device count.
+	// FinalHCheck is implied. Device and DisableOverlap are ignored.
+	// For a fixed input, results are bit-identical at every device count.
 	Devices []*gpu.Device
 	// ThresholdFactor scales the detection threshold
 	// τ = ThresholdFactor·ε·N·‖A‖₁ (paper: "2 to 3 orders of magnitude
@@ -376,8 +375,7 @@ type reducer struct {
 	// columns (checksum-row segment included) are final on the device.
 	la         bool
 	panelReady sim.Event
-	// thresholds
-	normA1 float64
+	// tauDet is the detection threshold (detectionThreshold).
 	tauDet float64
 	// lastDetectGap is |Sre−Sce| from the most recent detect() (Real mode).
 	lastDetectGap float64
@@ -453,13 +451,6 @@ var ftCounterNames = []string{
 // Reduce runs the fault-tolerant hybrid Hessenberg reduction of a
 // (not modified).
 func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
-	return reduceFrom(a, nil, opt)
-}
-
-// reduceFrom is the shared body of Reduce and Resume: with a nil snapshot
-// it starts from scratch (transfer + encode); with a snapshot it reloads
-// the saved state and continues from the recorded iteration.
-func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) {
 	n := a.Rows
 	if n != a.Cols {
 		return nil, errors.New("ft: matrix must be square")
@@ -468,31 +459,16 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 	if err != nil {
 		return nil, err
 	}
-	if len(opt.Devices) > 0 {
-		if snap != nil {
-			return nil, errors.New("ft: snapshot resume is not supported on the multi-device path")
-		}
-		return reduceMulti(a, opt)
-	}
-	if opt.Device == nil {
+	if len(opt.Devices) == 0 && opt.Device == nil {
 		return nil, errors.New("ft: Options.Device is required")
 	}
-	nb := opt.NB
-	if nb <= 0 {
-		nb = hybrid.DefaultNB
-	}
-	if opt.ThresholdFactor <= 0 {
-		opt.ThresholdFactor = 200
-	}
-	if opt.MaxRecoveries <= 0 {
-		opt.MaxRecoveries = 3
+	nb := setDefaults(&opt)
+	if len(opt.Devices) > 0 {
+		return reduceMulti(a, opt, nb, fused)
 	}
 	dev := opt.Device
 	if opt.Obs != nil {
 		dev.SetObs(opt.Obs)
-		for _, name := range ftCounterNames {
-			opt.Obs.Counter(name, ftLabels(opt)...)
-		}
 	}
 	dev.SetJob(opt.Trace.JobID())
 	sp := opt.Trace.Span("ft.reduce", opt.Trace.ParentSpan())
@@ -530,11 +506,7 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 
 	pp := dev.Params
 	dev.SetPhase("setup")
-	// ‖A‖₁ anchors the detection threshold (one host pass over the data).
-	dev.HostOp(pp.GemvHost(n, n), func() {
-		r.normA1 = a.Norm1()
-	})
-	r.tauDet = opt.ThresholdFactor * macheps * float64(n) * math.Max(r.normA1, 1)
+	r.tauDet = detectionThreshold(dev, pp, a, opt.ThresholdFactor)
 
 	// Allocate the extended device matrix and workspaces.
 	r.dA = dev.Alloc(n+1, n+1)
@@ -557,26 +529,10 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 	r.ckChkRow = matrix.New(1, nb)
 	r.qprot = newQChecksums(n)
 
-	if snap == nil {
-		// Algorithm 3, lines 1-2: transfer and encode.
-		dev.H2D(r.dA, 0, 0, r.hostA)
-		dev.SetPhase("encode")
-		r.encode()
-	} else {
-		// Diskless restart: reload the extended device matrix (data +
-		// valid checksums), the reflector factors, and the Q checksums.
-		hostDA := matrix.FromColMajor(n+1, n+1, n+1, snap.DA)
-		dev.H2D(r.dA, 0, 0, hostDA)
-		copy(r.tau, snap.Tau)
-		if snap.QRowChk != nil {
-			copy(r.qprot.rowChk, snap.QRowChk)
-			copy(r.qprot.colChk, snap.QColChk)
-			r.qprot.absorbedCols = snap.QCols
-		}
-		ev := obs.Ev(obs.KindSnapshotRestore, snap.Iter)
-		ev.Target = obs.TargetH
-		r.journal(ev)
-	}
+	// Algorithm 3, lines 1-2: transfer and encode.
+	dev.H2D(r.dA, 0, 0, r.hostA)
+	dev.SetPhase("encode")
+	r.encode()
 
 	nx := nb
 	if nx < 2 {
@@ -585,10 +541,6 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 	var prevLeft sim.Event
 	p := 0
 	iter := 0
-	if snap != nil {
-		p = snap.Panel
-		iter = snap.Iter
-	}
 	for ; n-1-p > nx; p += nb {
 		if err := ctx.Err(); err != nil {
 			return r.res, err
@@ -646,27 +598,8 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 	}
 	r.res.BlockedIters = iter
 
-	// Post-processing comparator: one detection at the end; a propagated
-	// error cannot be located and corrected anymore, so recovery means
-	// re-executing the entire factorization with per-iteration checks.
 	if opt.PostProcess && iter > 0 && r.detectAt(iter, prevLeft) {
-		r.res.Detections++
-		r.count("ft_detections_total")
-		det := obs.Ev(obs.KindDetection, iter)
-		det.Target = obs.TargetH
-		det.Value = obs.Float(r.lastDetectGap)
-		det.Outcome = "post-process"
-		r.journal(det)
-		retryOpt := opt
-		retryOpt.PostProcess = false
-		retryOpt.Hook = nil // transient errors do not re-occur on redo
-		retry, err := Reduce(a, retryOpt)
-		if err != nil {
-			return r.res, err
-		}
-		retry.Detections += r.res.Detections
-		retry.Recoveries = r.res.Recoveries + 1
-		return retry, nil
+		return redoAfterPostProcess(a, opt, r.res, r.lastDetectGap, r.journal)
 	}
 
 	if err := ctx.Err(); err != nil {
@@ -687,47 +620,111 @@ func reduceFrom(a *matrix.Matrix, snap *Snapshot, opt Options) (*Result, error) 
 		dev.Sync(dev.D2HAsync(rem, r.dA, 0, p, prevLeft))
 	}
 	work := make([]float64, n)
-	dev.HostOp(cleanupCost(pp, n, p), func() {
+	dev.HostOp(hybrid.CleanupCost(pp, n, p), func() {
 		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, work)
 	})
 
 	// Section IV-E/F: verify and repair the Householder vectors once, at
 	// the end of the factorization.
-	if !opt.DisableQProtection {
-		dev.SetPhase("q_protect")
-		fixes, err := r.qprot.verifyAndCorrect(dev, pp, r.hostA, p, r.tauDet, r.journal, r.res.BlockedIters)
-		if err != nil {
-			return r.res, err
-		}
-		r.res.QCorrections += fixes
-		r.opt.Obs.Counter("ft_q_corrections_total", ftLabels(r.opt)...).Add(float64(fixes))
+	if err := protectQ(dev, pp, r.qprot, r.hostA, p, r.tauDet, opt, r.res, r.journal); err != nil {
+		return r.res, err
 	}
 	dev.DeviceSynchronize()
 	dev.SetPhase("")
 	dev.FinishRun()
-	if r.fused {
-		if _, _, nonFinite := dev.FTStats(); nonFinite {
-			return r.res, fmt.Errorf("%w: fused substrate observed a non-finite checksum total", ErrUncorrectable)
-		}
-	}
-
-	r.res.SimSeconds = dev.Elapsed()
-	if r.res.SimSeconds > 0 {
-		r.res.ModelGFLOPS = sim.HessenbergFlops(n) / r.res.SimSeconds / 1e9
-	}
-	return r.res, nil
+	return finish(r.res, dev.Elapsed(), fused, dev)
 }
 
-// cleanupCost mirrors hybrid's unblocked-remainder cost model.
-func cleanupCost(pp sim.Params, n, p int) float64 {
-	cost := 0.0
-	for c := p; c < n-1; c++ {
-		m1 := n - 1 - c
-		cost += 2 * pp.VecHost(m1)
-		cost += 2 * pp.GemvHost(n, m1)
-		cost += 2 * pp.GemvHost(m1, n-c-1)
+// setDefaults fills the zero-valued options both drivers share and
+// pre-touches every FT counter, so a clean run still exposes them at
+// zero. It returns the block size.
+func setDefaults(opt *Options) int {
+	if opt.ThresholdFactor <= 0 {
+		opt.ThresholdFactor = 200
 	}
-	return cost
+	if opt.MaxRecoveries <= 0 {
+		opt.MaxRecoveries = 3
+	}
+	for _, name := range ftCounterNames {
+		opt.Obs.Counter(name, ftLabels(*opt)...)
+	}
+	if opt.NB <= 0 {
+		return hybrid.DefaultNB
+	}
+	return opt.NB
+}
+
+// detectionThreshold charges the host pass over a that computes ‖A‖₁ and
+// returns the detection threshold τ = factor·ε·N·max(‖A‖₁, 1).
+func detectionThreshold(h hostLane, pp sim.Params, a *matrix.Matrix, factor float64) float64 {
+	n := a.Rows
+	var normA1 float64
+	h.HostOp(pp.GemvHost(n, n), func() {
+		normA1 = a.Norm1()
+	})
+	return factor * macheps * float64(n) * math.Max(normA1, 1)
+}
+
+// redoAfterPostProcess is the post-processing comparator's recovery: its
+// single end-of-run detection fired, and a propagated error cannot be
+// located and corrected anymore, so the whole factorization re-executes
+// with per-iteration checks. res is the failed run's result.
+func redoAfterPostProcess(a *matrix.Matrix, opt Options, res *Result, gap float64, journal func(obs.Event)) (*Result, error) {
+	res.Detections++
+	opt.Obs.Counter("ft_detections_total", ftLabels(opt)...).Inc()
+	det := obs.Ev(obs.KindDetection, res.BlockedIters)
+	det.Target = obs.TargetH
+	det.Value = obs.Float(gap)
+	det.Outcome = "post-process"
+	journal(det)
+	opt.PostProcess = false
+	opt.Hook = nil // transient errors do not re-occur on redo
+	retry, err := Reduce(a, opt)
+	if err != nil {
+		return res, err
+	}
+	retry.Detections += res.Detections
+	retry.Recoveries = res.Recoveries + 1
+	return retry, nil
+}
+
+// protectQ is the end-of-run Q step (the paper's Section IV-E/F): unless
+// disabled, verify the Householder storage left of column limit against
+// its checksums and repair it in place.
+func protectQ(h hostLane, pp sim.Params, q *qChecksums, hostA *matrix.Matrix, limit int, tauDet float64, opt Options, res *Result, journal func(obs.Event)) error {
+	if opt.DisableQProtection {
+		return nil
+	}
+	h.SetPhase("q_protect")
+	fixes, err := q.verifyAndCorrect(h, pp, hostA, limit, tauDet, journal, res.BlockedIters)
+	if err != nil {
+		return err
+	}
+	res.QCorrections += fixes
+	opt.Obs.Counter("ft_q_corrections_total", ftLabels(opt)...).Add(float64(fixes))
+	return nil
+}
+
+// finish closes a run on devs, which have all finished: a non-finite
+// fused-substrate checksum total on any of them fails the run, otherwise
+// the modeled time and rate are stamped on res.
+func finish(res *Result, elapsed float64, fused bool, devs ...*gpu.Device) (*Result, error) {
+	if fused {
+		for _, dev := range devs {
+			if _, _, nonFinite := dev.FTStats(); nonFinite {
+				where := ""
+				if name := dev.Name(); name != "" {
+					where = " on " + name
+				}
+				return res, fmt.Errorf("%w: fused substrate observed a non-finite checksum total%s", ErrUncorrectable, where)
+			}
+		}
+	}
+	res.SimSeconds = elapsed
+	if res.SimSeconds > 0 {
+		res.ModelGFLOPS = sim.HessenbergFlops(res.N) / res.SimSeconds / 1e9
+	}
+	return res, nil
 }
 
 // encode computes the initial checksum column and row on the device
@@ -869,38 +866,34 @@ func (r *reducer) iteration(iter, p, ib int, prevLeft sim.Event, redo bool) (sim
 	dev.SetPhase("right_update")
 	ei := r.hostA.At(p+ib, p+ib-1)
 	e1 := dev.Set(r.dA, p+ib, p+ib-1, 1, ytopDone, ychkDone)
-	var left sim.Event
-	if ib2 := min(ib, n-1-(p+ib)); r.la && n-1-(p+ib) > max(r.nb, 2) {
+	ib2 := 0
+	if r.la && n-1-(p+ib) > max(r.nb, 2) {
+		ib2 = min(ib, n-1-(p+ib))
+	}
+	if ib2 > 0 {
 		// Priority: next panel's columns, top rows then rows k..n.
 		eMp := dev.Gemm(blas.NoTrans, blas.Trans, k, ib2, ib, -1, r.dY, 0, 0, r.dA, p+ib, p, 1, r.dA, 0, p+ib, e1)
 		eGp := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, ib2, ib, -1, r.dY, k, 0, r.dA, p+ib, p, 1, r.dA, k, p+ib, eMp, chkSegDone)
 		dev.SetPhase("left_update")
 		r.panelReady = r.leftUpdateCols(p, ib, 0, ib2, eGp)
-		// Remainder: every other trailing column plus the checksum column.
 		dev.SetPhase("right_update")
-		eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib-ib2, ib, -1, r.dY, 0, 0, r.dA, p+ib+ib2, p, 1, r.dA, 0, p+ib+ib2, e1)
-		eG := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, n-p-ib-ib2, ib, -1, r.dY, k, 0, r.dA, p+ib+ib2, p, 1, r.dA, k, p+ib+ib2, eM, chkSegDone)
-		dev.SetPhase("checksum_maintenance")
-		eCk := dev.Gemv(blas.NoTrans, n, ib, -1, r.dY, 0, 0, r.dVsum, 0, 0, 1, r.dA, 0, n, eG)
-		dev.SetPhase("right_update")
-		eC := dev.Set(r.dA, p+ib, p+ib-1, ei, eCk)
-		dev.SetPhase("left_update")
-		left = r.leftUpdateCols(p, ib, ib2, n-p-ib+1, eC)
-	} else {
-		eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, r.dY, 0, 0, r.dA, p+ib, p, 1, r.dA, 0, p+ib, e1)
-		// G rows k..n-1 plus the checksum row n in one GEMM (dY row n = Yce).
-		eG := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, n-p-ib, ib, -1, r.dY, k, 0, r.dA, p+ib, p, 1, r.dA, k, p+ib, eM, chkSegDone)
-		// Checksum column under the right update: Ace −= Y·(Vᵀe).
-		dev.SetPhase("checksum_maintenance")
-		eCk := dev.Gemv(blas.NoTrans, n, ib, -1, r.dY, 0, 0, r.dVsum, 0, 0, 1, r.dA, 0, n, eG)
-		dev.SetPhase("right_update")
-		eC := dev.Set(r.dA, p+ib, p+ib-1, ei, eCk)
+	}
+	// Remainder (the whole update with lookahead off): every other
+	// trailing column, G's rows k..n-1 plus the checksum row n in one GEMM
+	// (dY row n = Yce), then the checksum column: Ace −= Y·(Vᵀe).
+	eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib-ib2, ib, -1, r.dY, 0, 0, r.dA, p+ib+ib2, p, 1, r.dA, 0, p+ib+ib2, e1)
+	eG := dev.Gemm(blas.NoTrans, blas.Trans, n+1-k, n-p-ib-ib2, ib, -1, r.dY, k, 0, r.dA, p+ib+ib2, p, 1, r.dA, k, p+ib+ib2, eM, chkSegDone)
+	dev.SetPhase("checksum_maintenance")
+	eCk := dev.Gemv(blas.NoTrans, n, ib, -1, r.dY, 0, 0, r.dVsum, 0, 0, 1, r.dA, 0, n, eG)
+	dev.SetPhase("right_update")
+	eC := dev.Set(r.dA, p+ib, p+ib-1, ei, eCk)
 
-		// Line 11: left update of trail(A)fe — data columns p+ib..n-1 plus
-		// the checksum column (col n), with the checksum row updated
-		// through the retained intermediate S.
-		dev.SetPhase("left_update")
-		left = r.leftUpdate(p, ib, eC)
+	// Line 11: left update of trail(A)fe — data columns p+ib..n-1 plus
+	// the checksum column (col n), with the checksum row updated through
+	// the retained intermediate S.
+	dev.SetPhase("left_update")
+	left := r.leftUpdateCols(p, ib, ib2, n-p-ib+1, eC)
+	if ib2 == 0 {
 		r.panelReady = left
 	}
 	if r.opt.DisableOverlap {
@@ -982,17 +975,12 @@ func (r *reducer) kernPanelColSums(p, ib int, deps ...sim.Event) sim.Event {
 	}, deps...)
 }
 
-// leftUpdate applies trail(A)fe := trail(A)fe − Vce·Tᵀ·Vᵀ·trail(A)fe:
-// the data columns and checksum column get the orthogonal left update,
-// the checksum row gets the Vce extension. The intermediate S = (CᵀV)·T
-// is retained in dS for reverse computation.
-func (r *reducer) leftUpdate(p, ib int, dep sim.Event) sim.Event {
-	return r.leftUpdateCols(p, ib, 0, r.n-p-ib+1, dep)
-}
-
-// leftUpdateCols is the left update restricted to trailing columns
-// [lo, hi) — column c here means global column p+ib+c, with c =
-// n-p-ib addressing the checksum column. Each part builds its own rows
+// leftUpdateCols applies trail(A)fe := trail(A)fe − Vce·Tᵀ·Vᵀ·trail(A)fe
+// to trailing columns [lo, hi) — column c here means global column
+// p+ib+c, with c = n-p-ib addressing the checksum column. The data
+// columns and checksum column get the orthogonal left update, the
+// checksum row gets the Vce extension, and the intermediate S = (CᵀV)·T
+// is retained in dS for reverse computation. Each part builds its own rows
 // of S, so S's row c always holds column c's intermediate regardless of
 // how the update was split, and the recovery reversal (a full-range
 // call) reads the exact values the forward pass retained.

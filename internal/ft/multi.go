@@ -59,7 +59,6 @@ type multiReducer struct {
 	dChk    []*gpu.Matrix
 	chkHost []*matrix.Matrix
 
-	normA1  float64
 	tauDet  float64
 	lastGap float64
 	// la enables depth-1 lookahead: panel k+1's columns are priority-
@@ -123,26 +122,13 @@ func (r *multiReducer) flipBitH(row, col int, bit uint) float64 {
 }
 
 // reduceMulti is the multi-device body of Reduce, selected when
-// Options.Devices is non-empty.
-func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
+// Options.Devices is non-empty; opt arrives with Reduce's defaults set.
+func reduceMulti(a *matrix.Matrix, opt Options, nb int, fused bool) (*Result, error) {
 	n := a.Rows
-	nb := opt.NB
-	if nb <= 0 {
-		nb = hybrid.DefaultNB
-	}
-	if opt.ThresholdFactor <= 0 {
-		opt.ThresholdFactor = 200
-	}
-	if opt.MaxRecoveries <= 0 {
-		opt.MaxRecoveries = 3
-	}
 	pool := devpool.Wrap(opt.Devices)
 	pp := pool.Params
 	if opt.Obs != nil {
 		pool.SetObs(opt.Obs)
-		for _, name := range ftCounterNames {
-			opt.Obs.Counter(name, ftLabels(opt)...)
-		}
 	}
 	pool.SetJob(opt.Trace.JobID())
 	sp := opt.Trace.Span("ft.reduce_multi", opt.Trace.ParentSpan())
@@ -153,10 +139,6 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	}
 	pool.SetContext(ctx)
 
-	fused, err := substrateFused(opt)
-	if err != nil {
-		return nil, err
-	}
 	r := &multiReducer{
 		opt:     opt,
 		pool:    pool,
@@ -195,11 +177,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	}
 
 	pool.SetPhase("setup")
-	// ‖A‖₁ anchors the detection threshold (one host pass over the data).
-	pool.HostOp(pp.GemvHost(n, n), func() {
-		r.normA1 = a.Norm1()
-	})
-	r.tauDet = opt.ThresholdFactor * macheps * float64(n) * math.Max(r.normA1, 1)
+	r.tauDet = detectionThreshold(pool, pp, a, opt.ThresholdFactor)
 
 	sh := devpool.NewShard(pool, n, nb, 1)
 	defer sh.Free()
@@ -346,48 +324,20 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 
 	if opt.PostProcess {
 		// Post-processing comparator: the single end-of-run detection of
-		// the prior work the paper compares against. A propagated error
-		// cannot be located anymore; recovery re-executes the entire
-		// factorization with per-iteration checks.
-		if iter > 0 {
-			if bad := r.detectSweep(iter, p); len(bad) > 0 {
-				r.res.Detections++
-				r.count("ft_detections_total")
-				det := obs.Ev(obs.KindDetection, iter)
-				det.Target = obs.TargetH
-				det.Value = obs.Float(r.lastGap)
-				det.Outcome = "post-process"
-				r.journal(det)
-				retryOpt := opt
-				retryOpt.PostProcess = false
-				retryOpt.Hook = nil // transient errors do not re-occur on redo
-				retry, err := Reduce(a, retryOpt)
-				if err != nil {
-					return r.res, err
-				}
-				retry.Detections += r.res.Detections
-				retry.Recoveries = r.res.Recoveries + 1
-				return retry, nil
-			}
+		// the prior work the paper compares against.
+		if iter > 0 && len(r.detectSweep(iter, p)) > 0 {
+			return redoAfterPostProcess(a, opt, r.res, r.lastGap, r.journal)
 		}
-	} else {
-		// Final boundary check covers the last iteration's updates.
-		if err := r.checkAll(iter, p); err != nil {
-			return r.res, err
-		}
+	} else if err := r.checkAll(iter, p); err != nil {
+		// The final boundary check covers the last iteration's updates.
+		return r.res, err
 	}
 
 	// Verify and repair the host-side Householder storage before the
 	// gather: the gather overwrites it with the (halo-protected) device
 	// slabs, so this pass is what reports host-only (Area 3) hits.
-	if !opt.DisableQProtection {
-		pool.SetPhase("q_protect")
-		fixes, err := r.qprot.verifyAndCorrect(pool, pp, r.hostA, p, r.tauDet, r.journal, r.res.BlockedIters)
-		if err != nil {
-			return r.res, err
-		}
-		r.res.QCorrections += fixes
-		r.opt.Obs.Counter("ft_q_corrections_total", ftLabels(r.opt)...).Add(float64(fixes))
+	if err := protectQ(pool, pp, r.qprot, r.hostA, p, r.tauDet, opt, r.res, r.journal); err != nil {
+		return r.res, err
 	}
 
 	// Bring every slab home in one sweep (the device copies are
@@ -395,25 +345,13 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	pool.SetPhase("cleanup")
 	sh.Gather(r.hostA)
 	work := make([]float64, n)
-	pool.HostOp(cleanupCost(pp, n, p), func() {
+	pool.HostOp(hybrid.CleanupCost(pp, n, p), func() {
 		lapack.Dgehd2(n, p, r.hostA.Data, r.hostA.Stride, r.tau, work)
 	})
 	pool.WaitAll()
 	pool.SetPhase("")
 	pool.FinishRun()
-	if r.fused {
-		for _, dev := range pool.Devices {
-			if _, _, nonFinite := dev.FTStats(); nonFinite {
-				return r.res, fmt.Errorf("%w: fused substrate observed a non-finite checksum total on %s", ErrUncorrectable, dev.Name())
-			}
-		}
-	}
-
-	r.res.SimSeconds = pool.Elapsed()
-	if r.res.SimSeconds > 0 {
-		r.res.ModelGFLOPS = sim.HessenbergFlops(n) / r.res.SimSeconds / 1e9
-	}
-	return r.res, nil
+	return finish(r.res, pool.Elapsed(), fused, pool.Devices...)
 }
 
 // encodeSlab (re)computes slab s's checksum halo from its data on the

@@ -14,6 +14,7 @@ import (
 // main-host lane on the multi-device path.
 type hostLane interface {
 	HostOp(cost float64, f func())
+	SetPhase(name string) string
 }
 
 // qChecksums protects the Householder vectors accumulating on the host

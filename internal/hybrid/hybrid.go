@@ -41,7 +41,7 @@ import (
 // DefaultNB is the paper's block size.
 const DefaultNB = 32
 
-// IterInfo describes one blocked iteration, passed to the AfterIteration
+// IterInfo describes one blocked iteration, passed to the BeforeIteration
 // hook (which fault campaigns use to inject errors at iteration
 // boundaries, the paper's failure model).
 type IterInfo struct {
@@ -88,8 +88,6 @@ type Options struct {
 	// concurrently with the remainder; results are bit-identical either
 	// way.
 	DisableLookahead bool
-	// AfterIteration, if set, runs at the end of every blocked iteration.
-	AfterIteration func(info IterInfo)
 	// BeforeIteration, if set, runs before every blocked iteration with
 	// access to the device-resident matrix and the host-side packed
 	// result under assembly; fault campaigns use it to inject soft
@@ -283,35 +281,33 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		// for the V-bottom right updates.
 		ei := hostA.At(p+ib, p+ib-1)
 		e1 := dev.Set(dA, p+ib, p+ib-1, 1, ytopDone)
-		if ib2 := min(nb, n-1-(p+nb)); lookahead && n-1-(p+nb) > nx {
-			// Lookahead split: finish the next panel's ib2 columns first
-			// (priority right update + priority DLARFB), so the next
-			// iteration's panel transfer and host factorization can start
-			// while the remainder of the trailing update streams behind
-			// them. Splitting a GEMM/DLARFB by output columns is exact:
-			// every output element sees the same inputs in the same
-			// accumulation order, so the digests match the serialized
-			// schedule bit for bit.
+		// Lookahead split: finish the next panel's ib2 columns first
+		// (priority right update + priority DLARFB), so the next
+		// iteration's panel transfer and host factorization can start
+		// while the remainder of the trailing update streams behind them.
+		// Splitting a GEMM/DLARFB by output columns is exact: every output
+		// element sees the same inputs in the same accumulation order, so
+		// the digests match the unsplit update (ib2 = 0, lookahead off)
+		// bit for bit.
+		ib2 := 0
+		if lookahead && n-1-(p+nb) > nx {
+			ib2 = min(nb, n-1-(p+nb))
+		}
+		if ib2 > 0 {
 			eGp := dev.Gemm(blas.NoTrans, blas.Trans, n-k, ib2, ib, -1, dY, k, 0, dA, p+ib, p, 1, dA, k, p+ib, e1)
 			dev.SetPhase("left_update")
 			panelReady = dev.Larfb(blas.Trans, n-k, ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib, dW, eGp)
 			dev.SetPhase("right_update")
-			// Remainder: M's top rows (all trailing columns) and the
-			// right/left updates of the columns past the next panel.
-			eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, dY, 0, 0, dA, p+ib, p, 1, dA, 0, p+ib, e1)
-			eG := dev.Gemm(blas.NoTrans, blas.Trans, n-k, n-p-ib-ib2, ib, -1, dY, k, 0, dA, p+ib+ib2, p, 1, dA, k, p+ib+ib2, eM)
-			eC := dev.Set(dA, p+ib, p+ib-1, ei, eG)
-			dev.SetPhase("left_update")
-			prevLeft = dev.Larfb(blas.Trans, n-k, n-p-ib-ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib+ib2, dW, eC)
-		} else {
-			// Right update to M's trailing columns (line 5).
-			eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, dY, 0, 0, dA, p+ib, p, 1, dA, 0, p+ib, e1)
-			// Line 7: right update to G.
-			eG := dev.Gemm(blas.NoTrans, blas.Trans, n-k, n-p-ib, ib, -1, dY, k, 0, dA, p+ib, p, 1, dA, k, p+ib, eM)
-			eC := dev.Set(dA, p+ib, p+ib-1, ei, eG)
-			// Line 8: DLARFB left update of the trailing matrix.
-			dev.SetPhase("left_update")
-			prevLeft = dev.Larfb(blas.Trans, n-k, n-p-ib, ib, dA, k, p, dT, 0, 0, dA, k, p+ib, dW, eC)
+		}
+		// Remainder: the right update of M's top rows over all trailing
+		// columns (line 5) and of G past the priority columns (line 7),
+		// then the DLARFB left update of those columns (line 8).
+		eM := dev.Gemm(blas.NoTrans, blas.Trans, k, n-p-ib, ib, -1, dY, 0, 0, dA, p+ib, p, 1, dA, 0, p+ib, e1)
+		eG := dev.Gemm(blas.NoTrans, blas.Trans, n-k, n-p-ib-ib2, ib, -1, dY, k, 0, dA, p+ib+ib2, p, 1, dA, k, p+ib+ib2, eM)
+		eC := dev.Set(dA, p+ib, p+ib-1, ei, eG)
+		dev.SetPhase("left_update")
+		prevLeft = dev.Larfb(blas.Trans, n-k, n-p-ib-ib2, ib, dA, k, p, dT, 0, 0, dA, k, p+ib+ib2, dW, eC)
+		if ib2 == 0 {
 			panelReady = prevLeft
 		}
 		if opt.DisableOverlap {
@@ -319,10 +315,6 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 			// the trailing update instead of overlapping with it.
 			dev.SetPhase("d2h_overlap")
 			dev.Sync(dev.D2HAsync(finished, dA, 0, p, aDone, prevLeft))
-		}
-
-		if opt.AfterIteration != nil {
-			opt.AfterIteration(IterInfo{Iter: iter, Panel: p, NB: ib, N: n})
 		}
 		iter++
 	}
@@ -339,7 +331,7 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 		dev.Sync(dev.D2HAsync(rem, dA, 0, p, prevLeft))
 	}
 	work := make([]float64, n)
-	dev.HostOp(cleanupCost(pp, n, p), func() {
+	dev.HostOp(CleanupCost(pp, n, p), func() {
 		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, work)
 	})
 	dev.DeviceSynchronize()
@@ -353,9 +345,10 @@ func Reduce(a *matrix.Matrix, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// cleanupCost is the modeled CPU time of the trailing unblocked reduction
-// starting at column p.
-func cleanupCost(pp sim.Params, n, p int) float64 {
+// CleanupCost is the modeled CPU time of the trailing unblocked reduction
+// starting at column p, the host-side finish of every hybrid and
+// fault-tolerant driver.
+func CleanupCost(pp sim.Params, n, p int) float64 {
 	cost := 0.0
 	for c := p; c < n-1; c++ {
 		m1 := n - 1 - c

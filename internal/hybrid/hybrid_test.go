@@ -101,26 +101,6 @@ func TestReduceErrors(t *testing.T) {
 	}
 }
 
-func TestAfterIterationHook(t *testing.T) {
-	n, nb := 100, 16
-	a := matrix.Random(n, n, 4)
-	var iters []IterInfo
-	_, err := Reduce(a, Options{NB: nb, Device: newDev(), AfterIteration: func(it IterInfo) {
-		iters = append(iters, it)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(iters) == 0 {
-		t.Fatal("hook never called")
-	}
-	for i, it := range iters {
-		if it.Iter != i || it.Panel != i*nb || it.NB != nb || it.N != n {
-			t.Fatalf("iteration info %d wrong: %+v", i, it)
-		}
-	}
-}
-
 func TestSimulatedTimePositiveAndOverlapHelps(t *testing.T) {
 	n := 192
 	a := matrix.Random(n, n, 8)

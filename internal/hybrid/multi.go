@@ -119,10 +119,6 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 		sh.RightUpdate(p, k, ib)
 		pool.SetPhase("left_update")
 		sh.LeftUpdate(p, k, ib)
-
-		if opt.AfterIteration != nil {
-			opt.AfterIteration(IterInfo{Iter: iter, Panel: p, NB: ib, N: n})
-		}
 		iter++
 	}
 	res.BlockedIters = iter
@@ -137,7 +133,7 @@ func reduceMulti(a *matrix.Matrix, opt Options) (*Result, error) {
 	pool.SetPhase("cleanup")
 	sh.Gather(hostA)
 	work := make([]float64, n)
-	pool.HostOp(cleanupCost(pp, n, p), func() {
+	pool.HostOp(CleanupCost(pp, n, p), func() {
 		lapack.Dgehd2(n, p, hostA.Data, hostA.Stride, tau, work)
 	})
 	pool.WaitAll()

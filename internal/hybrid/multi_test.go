@@ -112,18 +112,13 @@ func TestMultiDeviceObsPerDevice(t *testing.T) {
 
 func TestMultiDeviceHooksAndErrors(t *testing.T) {
 	a := matrix.Random(100, 100, 5)
-	var iters []IterInfo
-	if _, err := Reduce(a, Options{NB: 16, Devices: newDevs(2, gpu.Real),
-		AfterIteration: func(it IterInfo) { iters = append(iters, it) }}); err != nil {
+	res, err := Reduce(a, Options{NB: 16, Devices: newDevs(2, gpu.Real)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(iters) == 0 {
-		t.Fatal("AfterIteration never called on the multi-device path")
-	}
-	for i, it := range iters {
-		if it.Iter != i || it.Panel != i*16 || it.N != 100 {
-			t.Fatalf("iteration info %d wrong: %+v", i, it)
-		}
+	// Panels start at 0, 16, ..., 80 while more than nb columns trail.
+	if res.BlockedIters != 6 {
+		t.Fatalf("multi-device BlockedIters = %d, want 6", res.BlockedIters)
 	}
 
 	if _, err := Reduce(a, Options{NB: 16, Devices: newDevs(2, gpu.Real),

@@ -48,10 +48,6 @@ const (
 	KindReexecution Kind = "reexecution"
 	// KindInjection is a fault planted by the campaign driver.
 	KindInjection Kind = "injection"
-	// KindSnapshotSave is a process-level snapshot capture (ft.Snapshot).
-	KindSnapshotSave Kind = "snapshot_save"
-	// KindSnapshotRestore is a resume from a process-level snapshot.
-	KindSnapshotRestore Kind = "snapshot_restore"
 	// KindDeviceLoss is a fail-stop device death (permanent, unlike the
 	// transient corruptions above); Outcome names the kill point.
 	KindDeviceLoss Kind = "device_loss"

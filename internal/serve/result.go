@@ -98,11 +98,12 @@ func newCachedRun(out *JobResult) *cachedRun {
 	return &cachedRun{tpl: tpl}
 }
 
-// jobResult instantiates the cached template for one served job.
-func (c *cachedRun) jobResult(j *Job) *JobResult {
+// jobResult instantiates the cached template for one served job; cached
+// marks a result served from the cache rather than computed for j.
+func (c *cachedRun) jobResult(j *Job, cached bool) *JobResult {
 	out := c.tpl
 	out.ID = j.ID
-	out.Cached = true
+	out.Cached = cached
 	return &out
 }
 

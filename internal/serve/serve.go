@@ -628,41 +628,26 @@ func (s *Server) execute(j *Job) (*JobResult, error) {
 		return symResult(j, res), nil
 	}
 
-	// Result cache with single-flight coalescing: a hit skips the whole
-	// reduction; a concurrent identical submission waits on the leader
-	// instead of recomputing. A follower whose leader aborted (failed,
-	// cancelled, uncacheable run) computes locally without taking a new
-	// flight, so a chain of cancellations can never convoy.
-	var flight *batch.Flight
-	if key, ok := s.cacheKey(req, j.a, req.NB); ok {
-		val, fl, st := s.cache.Acquire(key)
-		switch st {
-		case batch.Hit:
-			s.cCacheHit.Inc()
-			return val.(*cachedRun).jobResult(j), nil
-		case batch.Follow:
-			s.cCacheCoalesce.Inc()
-			v, ok, err := fl.Wait(j.ctx)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				s.cCacheHit.Inc()
-				return v.(*cachedRun).jobResult(j), nil
-			}
-		case batch.Lead:
-			s.cCacheMiss.Inc()
-			flight = fl
-			defer func() {
-				if flight != nil {
-					s.cache.Abort(flight)
-				}
-			}()
+	run, hit, err := s.cachedReduce(j.ctx, req, j.a, req.NB, func() (*cachedRun, bool, error) {
+		res, err := s.runGeneral(j, trace, mode)
+		if err != nil {
+			return nil, false, err
 		}
+		return newCachedRun(generalResult(j, res)), cacheable(res), nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return run.jobResult(j, hit), nil
+}
 
+// reduceOptions builds the core options a request asks for, at block
+// size nb: algorithm, tuning switches, fault plans, and the job's
+// observability sinks. Devices are left to the caller.
+func (s *Server) reduceOptions(ctx context.Context, j *Job, trace *obs.TraceContext, nb int) core.Options {
+	req := j.req
 	opt := core.Options{
-		Ctx: j.ctx, NB: req.NB,
+		Ctx: ctx, NB: nb,
 		CostOnly:           req.CostOnly,
 		ThresholdFactor:    req.ThresholdFactor,
 		FinalHCheck:        req.FinalHCheck,
@@ -689,6 +674,63 @@ func (s *Server) execute(j *Job) (*JobResult, error) {
 		}
 		opt.Hook = fault.NewSchedule(plans...)
 	}
+	return opt
+}
+
+// cachedReduce serves one reduction through the result cache with
+// single-flight coalescing: a hit skips the reduction; a concurrent
+// identical submission waits on the leader instead of recomputing. A
+// follower whose leader aborted (failed, cancelled, uncacheable run)
+// computes locally without taking a new flight, so a chain of
+// cancellations can never convoy. compute runs the reduction and
+// reports whether its run may enter the cache. hit reports a result
+// served from the cache.
+func (s *Server) cachedReduce(ctx context.Context, req *JobRequest, a *matrix.Matrix, nb int, compute func() (*cachedRun, bool, error)) (run *cachedRun, hit bool, err error) {
+	key, ok := s.cacheKey(req, a, nb)
+	if !ok {
+		run, _, err = compute()
+		return run, false, err
+	}
+	val, fl, st := s.cache.Acquire(key)
+	switch st {
+	case batch.Hit:
+		s.cCacheHit.Inc()
+		return val.(*cachedRun), true, nil
+	case batch.Follow:
+		s.cCacheCoalesce.Inc()
+		v, ok, err := fl.Wait(ctx)
+		if err != nil {
+			return nil, false, err
+		}
+		if ok {
+			s.cCacheHit.Inc()
+			return v.(*cachedRun), true, nil
+		}
+		run, _, err = compute()
+		return run, false, err
+	}
+	// batch.Lead: this call computes, and publishes a cacheable run.
+	s.cCacheMiss.Inc()
+	committed := false
+	defer func() {
+		if !committed {
+			s.cache.Abort(fl)
+		}
+	}()
+	run, keep, err := compute()
+	if err == nil && keep {
+		s.cache.Commit(fl, run)
+		committed = true
+	}
+	return run, false, err
+}
+
+// runGeneral reduces a single (non-batched) general job on the devices
+// it asks for: leased farm devices for a pool (with fail-stop spares),
+// otherwise a per-job device.
+func (s *Server) runGeneral(j *Job, trace *obs.TraceContext, mode gpu.Mode) (*core.Result, error) {
+	req := j.req
+	opt := s.reduceOptions(j.ctx, j, trace, req.NB)
 	if opt.Algorithm != core.CPUOnly {
 		if req.Devices > 0 {
 			// Lease whole devices from the farm; the job blocks here (not
@@ -775,14 +817,5 @@ func (s *Server) execute(j *Job) (*JobResult, error) {
 	if s.testMutateOptions != nil {
 		s.testMutateOptions(j, &opt)
 	}
-	res, err := core.Reduce(j.a, opt)
-	if err != nil {
-		return nil, err
-	}
-	out := generalResult(j, res)
-	if flight != nil && cacheable(res) {
-		s.cache.Commit(flight, newCachedRun(out))
-		flight = nil // the deferred Abort must not fire after a Commit
-	}
-	return out, nil
+	return core.Reduce(j.a, opt)
 }
